@@ -37,7 +37,7 @@ try:
 except ImportError:  # running from a checkout without `make install`
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.api import RunSpec, build_pair, run_join
+from repro.api import RunSpec, build_pair, run
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
 
 SEED = 0
@@ -66,13 +66,13 @@ def build_shard_snapshot(scale_name: str, shards: int, workers: int) -> dict:
     )
 
     unsharded, unsharded_seconds = _timed(
-        lambda: run_join(base_spec, pair=pair)
+        lambda: run(base_spec, pair=pair)
     )
     serial, serial_seconds = _timed(
-        lambda: run_join(sharded_spec, pair=pair, workers=1)
+        lambda: run(sharded_spec, pair=pair, workers=1)
     )
     parallel, parallel_seconds = _timed(
-        lambda: run_join(sharded_spec, pair=pair, workers=workers)
+        lambda: run(sharded_spec, pair=pair, workers=workers)
     )
 
     mismatches = []
@@ -101,8 +101,8 @@ def build_shard_snapshot(scale_name: str, shards: int, workers: int) -> dict:
         algorithm="PROB", window=window, memory=memory,
         length=length, domain=DEFAULT_DOMAIN, seed=SEED, shards=shards,
     )
-    prob_serial = run_join(prob_spec, pair=pair, workers=1)
-    prob_parallel = run_join(prob_spec, pair=pair, workers=workers)
+    prob_serial = run(prob_spec, pair=pair, workers=1)
+    prob_parallel = run(prob_spec, pair=pair, workers=workers)
     if prob_serial.output_count != prob_parallel.output_count:
         mismatches.append(
             f"PROB shards={shards}: serial {prob_serial.output_count} "

@@ -27,14 +27,13 @@ Quick start::
 
 :func:`repro.run` is the single public entry point: it dispatches on
 the spec (online engines, the offline OPT/OPTV bound, sharded parallel
-execution, checkpoint/retry fault tolerance).  ``run_join`` and
-``run_sharded`` survive as deprecated aliases.
+execution, checkpoint/retry fault tolerance).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .api import RunSpec, build_pair, compare, optimal_offline, run, run_join
+from .api import RunSpec, build_pair, compare, optimal_offline, run
 from .core import (
     DropBreakdown,
     EngineConfig,
@@ -130,7 +129,6 @@ __all__ = [
     "run",
     "run_algorithm",
     "run_exact",
-    "run_join",
     "run_suite",
     "save_metrics_csv",
     "save_metrics_json",

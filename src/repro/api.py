@@ -14,9 +14,6 @@ whether to collect metrics — and one entry point consumes it:
 * :func:`compare` — run several specs on one shared workload;
 * :func:`optimal_offline` — the OPT/OPTV offline bound for the spec.
 
-:func:`run_join` and :func:`run_sharded` remain as thin deprecated
-aliases of :func:`run` (see DESIGN.md for the deprecation policy).
-
 Example::
 
     from repro.api import RunSpec, run, optimal_offline
@@ -33,7 +30,6 @@ thin layers over these functions.
 from __future__ import annotations
 
 import tempfile
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -62,8 +58,6 @@ __all__ = [
     "compare",
     "optimal_offline",
     "run",
-    "run_join",
-    "run_sharded",
 ]
 
 ENGINES = ("fast", "async", "slowcpu")
@@ -544,39 +538,6 @@ def run(
     ticks = len(pair)
     schedule = [1] * ticks
     return engine.run(pair.r, pair.s, schedule, list(schedule))
-
-
-def run_join(
-    spec: RunSpec,
-    *,
-    pair: Optional[StreamPair] = None,
-    estimators: Optional[dict] = None,
-    workers: Optional[int] = None,
-):
-    """Deprecated alias of :func:`run` (kept for one release cycle)."""
-    warnings.warn(
-        "run_join() is deprecated; use repro.api.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run(spec, pair=pair, estimators=estimators, workers=workers)
-
-
-def run_sharded(
-    spec: RunSpec,
-    *,
-    pair: Optional[StreamPair] = None,
-    workers: Optional[int] = None,
-):
-    """Deprecated alias of :func:`run` for ``shards > 1`` specs."""
-    warnings.warn(
-        "run_sharded() is deprecated; use repro.api.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if spec.shards < 2:
-        raise ValueError(f"run_sharded needs shards >= 2, got {spec.shards}")
-    return _run_sharded(spec, pair=pair, workers=workers)
 
 
 def _shard_fingerprint(

@@ -59,6 +59,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .api import RunSpec, build_pair, compare as compare_specs, run
+from .core.engine import CapacityExceededError
 from .experiments import (
     ABLATION_GENERATORS,
     ALL_ALGORITHMS,
@@ -297,7 +298,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     pair = build_pair(spec)
-    result = run(spec, pair=pair, workers=args.workers)
+    try:
+        result = run(spec, pair=pair, workers=args.workers)
+    except CapacityExceededError as exc:
+        return _capacity_error(exc)
     warmup = spec.effective_warmup
     exact = exact_join_size(pair, args.window, count_from=warmup)
     print(f"workload : {pair.name}")
@@ -318,6 +322,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             {args.algorithm: summary() if callable(summary) else None},
         )
     return 0
+
+
+def _capacity_error(exc: CapacityExceededError) -> int:
+    """Report a policy-less run that overflowed its memory budget."""
+    print(f"error: {exc}", file=sys.stderr)
+    print(
+        "hint: EXACT keeps every arrival of the window in a fixed budget of "
+        "2 x --window; to bound memory under bursts, pick a shedding "
+        "--algorithm and raise --memory until it sheds little enough",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _build_source(args: argparse.Namespace):
@@ -437,6 +453,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:  # e.g. estimator='oracle' over a replay source
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CapacityExceededError as exc:  # e.g. EXACT under Poisson bursts
+        return _capacity_error(exc)
     except BrokenPipeError:
         # The downstream --emit consumer closed its end (`... | head`):
         # normal termination for a streaming run.  Point stdout at

@@ -30,8 +30,8 @@ Output is counted per processing tick against the usual warmup.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from ..obs import Timer, active_or_none
@@ -41,14 +41,20 @@ from ..obs.trace import (
     TraceEvent,
     tracing_or_none,
 )
-from ..streams.sources import Source, as_source
-from ..streams.tuples import StreamPair
-from .engine import PolicySpec
+from ..streams.sources import Source, as_source, bounded_events
+from ..streams.tuples import JoinResultTuple, StreamPair
+from .engine import CapacityExceededError, PolicySpec
 from .kernel import JoinKernel
 from .memory import JoinMemory, TupleRecord
 from .policies import resolve_policy_spec
 from .policies.life import LifePolicy
-from .results import BaseRunResult, DropBreakdown, RunSummary
+from .results import (
+    DROP_EXPIRED,
+    BaseRunResult,
+    DropBreakdown,
+    RunSummary,
+    empty_side_drop_counts,
+)
 
 WINDOW_MODES = ("time", "count", "landmark")
 
@@ -165,48 +171,127 @@ class AsyncJoinEngine:
 
         ``r_batches[t]`` is the (possibly empty) sequence of R join keys
         arriving at tick ``t``; likewise for S.  Both sequences must
-        cover the same number of ticks.
+        cover the same number of ticks.  The run is the tick loop of
+        :meth:`run_stream`, fed ``zip(r_batches, s_batches)``.
 
         ``on_tick(engine, t)`` fires after each tick's batches complete
         (and after its metrics were recorded); inside the callback
         :meth:`checkpoint` captures a resumable snapshot of the run.
         ``on_tick_every=N`` fires it only on ticks where
         ``t % N == 0`` — a hook that samples (telemetry heartbeats)
-        costs one modulo on the skipped ticks instead of a Python call.
-        ``resume`` takes such a snapshot and continues from the tick
-        after it — the finished run is bit-identical (counts, ledger,
-        metrics totals) to one that was never interrupted.
+        costs one int compare on the skipped ticks instead of a Python
+        call.  ``resume`` takes such a snapshot and continues from the
+        tick after it — the finished run is bit-identical (counts,
+        ledger, metrics totals) to one that was never interrupted.
         """
         if len(r_batches) != len(s_batches):
             raise ValueError("batch sequences must cover the same number of ticks")
+        return self._run_ticks(
+            zip(r_batches, s_batches),
+            resume=resume,
+            on_tick=on_tick,
+            on_tick_every=on_tick_every,
+        )
+
+    # ------------------------------------------------------------------
+    def run_stream(
+        self,
+        source: Union[Source, StreamPair],
+        *,
+        until: Optional[int] = None,
+        emit=None,
+        on_summary=None,
+        on_summary_every: Optional[int] = None,
+        stop=None,
+        on_tick=None,
+        on_tick_every: int = 1,
+    ) -> AsyncRunResult:
+        """Consume a pull-based source with asynchronous semantics.
+
+        Per-tick ``(r_keys, s_keys)`` events come from any
+        :class:`~repro.streams.sources.Source` (a :class:`StreamPair` is
+        adapted automatically) instead of materialized batch lists, and
+        working state stays bounded by the window/memory budget, so
+        unbounded sources are safe.  It is the same tick loop as
+        :meth:`run`, so the same traffic gives bit-identical results
+        (counts, ledger, metrics totals) either way.
+
+        ``until`` bounds the tick count and ``stop()`` is polled before
+        each tick is pulled (either is required for an unbounded
+        source); ``emit`` is a per-pair sink for post-warmup output;
+        ``on_summary`` receives a rolling
+        :class:`~repro.core.results.RunSummary` every
+        ``on_summary_every`` ticks (default 4096).  ``on_tick`` works as
+        in :meth:`run` (telemetry heartbeats; :meth:`progress` is valid
+        inside), but checkpoint/resume stays pair-input-only — an
+        interrupted source run is re-run from the start (sources are
+        restartable by contract).
+        """
+        source = as_source(source)
+        if until is not None and until < 0:
+            raise ValueError(f"until must be non-negative, got {until}")
+        if on_summary_every is not None and on_summary_every <= 0:
+            raise ValueError(
+                f"on_summary_every must be positive, got {on_summary_every}"
+            )
+        if source.length is None and until is None and stop is None:
+            raise ValueError(
+                "unbounded source: pass until= and/or stop= to bound the run"
+            )
+        return self._run_ticks(
+            bounded_events(source, until, stop),
+            emit=emit,
+            on_summary=on_summary,
+            stride=on_summary_every or 4096,
+            on_tick=on_tick,
+            on_tick_every=on_tick_every,
+        )
+
+    # ------------------------------------------------------------------
+    # the tick loop
+    # ------------------------------------------------------------------
+    def _run_ticks(
+        self,
+        events,
+        *,
+        resume: Optional[dict] = None,
+        emit=None,
+        on_summary=None,
+        stride: int = 0,
+        on_tick=None,
+        on_tick_every: int = 1,
+    ) -> AsyncRunResult:
+        """The per-tick loop behind :meth:`run` and :meth:`run_stream`.
+
+        Policy-less time-window runs with no instrumentation, hooks,
+        sink, or resume take the count-only lane (:meth:`_run_exact`)
+        instead — the hot path of sharded EXACT execution.
+        """
         if on_tick_every < 1:
             raise ValueError(f"on_tick_every must be >= 1, got {on_tick_every}")
-        # The count-only EXACT lane: with no policy, no instrumentation,
-        # and no per-tick hooks, a time-windowed run is pure count
-        # arithmetic (see repro.core.batched) — this is the hot path of
-        # sharded EXACT execution.  Bit-identical to the kernel path.
+        config = self.config
+        obs = active_or_none(self.metrics)
+        tracer = tracing_or_none(self.trace)
         if (
             self._policy_r is None
             and self._policy_s is None
-            and self.config.window_mode == "time"
+            and config.window_mode == "time"
             and resume is None
             and on_tick is None
-            and not self.config.validate
-            and active_or_none(self.metrics) is None
-            and tracing_or_none(self.trace) is None
+            and emit is None
+            and not config.validate
+            and obs is None
+            and tracer is None
         ):
-            return self._run_exact_counts(r_batches, s_batches)
-        # The hook fires where t % on_tick_every == 0, tracked as a
-        # next-tick pointer: one int compare per tick instead of a
-        # modulo, and -1 (never matches) when there is no hook at all.
-        hook_next = -1
-        config = self.config
+            return self._run_exact(events, on_summary, stride)
+
         memory = self.memory
         window = config.window
         warmup = config.warmup
         assert warmup is not None
         count_mode = config.window_mode == "count"
         landmark_mode = config.window_mode == "landmark"
+        validate = config.validate
 
         output = 0
         total_output = 0
@@ -214,9 +299,13 @@ class AsyncJoinEngine:
         sequence = {"R": 0, "S": 0}  # per-stream tuple counters (count mode)
         start_tick = 0
 
-        obs = active_or_none(self.metrics)
-        tracer = tracing_or_none(self.trace)
-        kernel = JoinKernel(self.memory, self._policy_r, self._policy_s, tracer=tracer)
+        kernel = JoinKernel(
+            memory,
+            self._policy_r,
+            self._policy_s,
+            tracer=tracer,
+            overflow_error=CapacityExceededError,
+        )
         drop_counts = kernel.drop_counts
         # Expiry reason names the window style that aged the tuple out.
         expire_reason = (
@@ -246,6 +335,7 @@ class AsyncJoinEngine:
                 # instrument handles: merge_snapshot get-or-creates the
                 # same objects the handles below will extend.
                 obs.merge_snapshot(resume["metrics"])
+            events = islice(events, start_tick, None)
 
         if timed:
             run_timer = Timer()
@@ -254,8 +344,12 @@ class AsyncJoinEngine:
             occupancy_s = obs.series("engine.occupancy", side="S")
             batch_size = obs.histogram("async.batch_size")
 
+        # The hook fires where t % on_tick_every == 0, tracked as a
+        # next-tick pointer: one int compare per tick instead of a
+        # modulo, and -1 (never matches) when there is no hook at all.
+        # The first grid tick at or after start_tick keeps it resume-safe.
+        hook_next = -1
         if on_tick is not None:
-            # First grid tick at or after start_tick (resume-safe).
             hook_next = start_tick + (-start_tick % on_tick_every)
 
         # Untraced sides take the kernel's batch operations (bulk probe
@@ -267,276 +361,25 @@ class AsyncJoinEngine:
         # the opposite side: fixed-allocation victims are own-side, but
         # a shared pool (variable) or an arrival-observing estimator
         # would make probe results order-dependent — those stay
-        # per-tuple, as do tracers (event order) and count-mode windows
-        # (expiry interleaves inside the batch).
+        # per-tuple, as do tracers (event order), count-mode windows
+        # (expiry interleaves inside the batch), and ``emit`` sinks
+        # (per-pair results).
         batch_ops = (
             not tracing
             and not count_mode
+            and emit is None
             and (
                 (self._policy_r is None and self._policy_s is None)
                 or (not memory.variable and not kernel.observers)
             )
         )
 
-        for t in range(start_tick, len(r_batches)):
+        t = start_tick - 1
+        for r_event, s_event in events:
+            t += 1
             if landmark_mode:
                 if t > 0 and t % config.landmark_every == 0:
                     # A new landmark: the whole window state resets.
-                    kernel.expire(t, t, reason=expire_reason)
-            elif not count_mode:
-                kernel.expire(t - window, t, reason=expire_reason)
-
-            for stream, batch in (("R", r_batches[t]), ("S", s_batches[t])):
-                if batch_ops:
-                    if batch:
-                        arrivals += len(batch)
-                        kernel.observe_batch(stream, batch, t)
-                        matches = kernel.probe_batch(stream, batch, t)
-                        total_output += matches
-                        if t >= warmup:
-                            output += matches
-                        kernel.insert_batch(stream, batch, t)
-                    continue
-                for key in batch:
-                    arrivals += 1
-                    kernel.observe(stream, key, t)
-                    if tracing:
-                        tracer.emit(TraceEvent(t, stream, key, EVENT_ARRIVE, t))
-
-                    matches = kernel.probe(stream, key, t)
-                    total_output += matches
-                    if t >= warmup:
-                        output += matches
-
-                    if count_mode:
-                        # The tuple's own arrival pushes the count window.
-                        sequence[stream] += 1
-                        kernel.expire(
-                            sequence[stream] - window, t,
-                            reason=expire_reason, side=stream,
-                        )
-                        record = TupleRecord(stream, sequence[stream], key)
-                    else:
-                        record = TupleRecord(stream, t, key)
-                    kernel.insert(record, t)
-
-            if timed:
-                batch_size.observe(len(r_batches[t]) + len(s_batches[t]))
-                occupancy_r.append(t, memory.r.size)
-                occupancy_s.append(t, memory.s.size)
-
-            if config.validate:
-                self._check_invariants(t)
-
-            if t == hook_next:
-                hook_next = t + on_tick_every
-                # `sequence` is stored by reference: the state is only
-                # valid inside the hook call, before the next mutation,
-                # so checkpoint() copies it lazily on demand.
-                self._tick_state = (t, output, total_output, arrivals, sequence)
-                on_tick(self, t)
-
-        self._tick_state = None
-        snapshot = None
-        if obs is not None:
-            run_timer.stop()
-            obs.counter("engine.matches").inc(total_output)
-            obs.counter("engine.output").inc(output)
-            obs.counter("async.arrivals").inc(arrivals)
-            for side in ("R", "S"):
-                for reason, count in drop_counts[side].items():
-                    obs.counter("engine.drops", side=side, reason=reason).inc(count)
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
-
-        return AsyncRunResult(
-            output_count=output,
-            total_output_count=total_output,
-            ticks=len(r_batches),
-            arrivals=arrivals,
-            policy_name=self.policy_name,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=trace_events,
-        )
-
-    # ------------------------------------------------------------------
-    # the count-only EXACT lane
-    # ------------------------------------------------------------------
-    def _run_exact_counts(
-        self, r_batches: Sequence[Sequence], s_batches: Sequence[Sequence]
-    ) -> AsyncRunResult:
-        """Dictionary count arithmetic for policy-less time-window runs.
-
-        Dispatched from :meth:`run` when nothing needs per-tuple state:
-        no policy, no metrics, no tracer, no per-tick hook, no resume.
-        Sharded EXACT execution lands here — every shard is a policy-less
-        time-mode run over mostly-empty ticks — so the lane removes the
-        kernel, record allocation, and memory maintenance from the
-        sharding hot path while staying bit-identical (a regression gate
-        pins it to the kernel path).
-        """
-        from .batched import exact_tick_counts
-        from .results import DROP_EXPIRED, empty_side_drop_counts
-
-        config = self.config
-        self._kernel = None
-        self._obs = None
-        self._tracing = False
-        self._tick_state = None
-
-        output, total_output, arrivals, expired_r, expired_s = exact_tick_counts(
-            r_batches,
-            s_batches,
-            config.window,
-            config.warmup,
-            capacity=self.memory.capacity,
-            variable=self.memory.variable,
-        )
-        drop_counts = empty_side_drop_counts()
-        drop_counts["R"][DROP_EXPIRED] = expired_r
-        drop_counts["S"][DROP_EXPIRED] = expired_s
-        return AsyncRunResult(
-            output_count=output,
-            total_output_count=total_output,
-            ticks=len(r_batches),
-            arrivals=arrivals,
-            policy_name=self.policy_name,
-            drop_counts=drop_counts,
-            metrics=None,
-            trace=None,
-        )
-
-    # ------------------------------------------------------------------
-    # the incremental source path
-    # ------------------------------------------------------------------
-    def run_stream(
-        self,
-        source: Union[Source, StreamPair],
-        *,
-        until: Optional[int] = None,
-        emit=None,
-        on_summary=None,
-        on_summary_every: Optional[int] = None,
-        stop=None,
-        on_tick=None,
-        on_tick_every: int = 1,
-    ) -> AsyncRunResult:
-        """Consume a pull-based source with asynchronous semantics.
-
-        The source-path analogue of :meth:`run`: per-tick ``(r_keys,
-        s_keys)`` events come from any
-        :class:`~repro.streams.sources.Source` (a :class:`StreamPair` is
-        adapted automatically) instead of materialized batch lists, and
-        working state stays bounded by the window/memory budget, so
-        unbounded sources are safe.  Tick semantics are identical to
-        :meth:`run` — each tuple probes the opposite memory when
-        processed, R batch before S batch — and a
-        ``PairSource``-equivalent event stream produces bit-identical
-        results (counts, ledger, metrics totals) to
-        ``run(*batches_from_pair(pair))``.
-
-        ``until`` bounds the tick count and ``stop()`` is polled each
-        tick (either is required for an unbounded source); ``emit`` is a
-        per-pair sink for post-warmup output; ``on_summary`` receives a
-        rolling :class:`~repro.core.results.RunSummary` every
-        ``on_summary_every`` ticks (default 4096).  ``on_tick`` works as
-        in :meth:`run` (telemetry heartbeats; :meth:`progress` is valid
-        inside), but checkpoint/resume stays pair-path-only — an
-        interrupted source run is re-run from the start (sources are
-        restartable by contract).
-        """
-        source = as_source(source)
-        if until is not None and until < 0:
-            raise ValueError(f"until must be non-negative, got {until}")
-        if on_summary_every is not None and on_summary_every <= 0:
-            raise ValueError(
-                f"on_summary_every must be positive, got {on_summary_every}"
-            )
-        if on_tick_every < 1:
-            raise ValueError(f"on_tick_every must be >= 1, got {on_tick_every}")
-        if source.length is None and until is None and stop is None:
-            raise ValueError(
-                "unbounded source: pass until= and/or stop= to bound the run"
-            )
-        stride = on_summary_every or 4096
-
-        config = self.config
-        obs = active_or_none(self.metrics)
-        tracer = tracing_or_none(self.trace)
-        if (
-            self._policy_r is None
-            and self._policy_s is None
-            and config.window_mode == "time"
-            and on_tick is None
-            and emit is None
-            and not config.validate
-            and obs is None
-            and tracer is None
-        ):
-            return self._run_exact_stream(source, until, stop, on_summary, stride)
-
-        memory = self.memory
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-        count_mode = config.window_mode == "count"
-        landmark_mode = config.window_mode == "landmark"
-
-        output = 0
-        total_output = 0
-        arrivals = 0
-        ticks = 0
-        sequence = {"R": 0, "S": 0}
-
-        kernel = JoinKernel(memory, self._policy_r, self._policy_s, tracer=tracer)
-        drop_counts = kernel.drop_counts
-        expire_reason = (
-            REASON_WINDOW if config.window_mode == "time" else config.window_mode
-        )
-        tracing = tracer is not None
-        timed = obs is not None
-        self._kernel = kernel
-        self._obs = obs
-        self._tracing = tracing
-        self._tick_state = None
-
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            batch_size = obs.histogram("async.batch_size")
-
-        hook_next = 0 if on_tick is not None else -1
-
-        # Same lane gate as :meth:`run` (see the comment there): bulk
-        # probes are exact for policy-less sides and for fixed-mode,
-        # non-observing policies; ``emit`` needs per-pair results, so it
-        # forces the per-tuple path regardless.
-        batch_ops = (
-            not tracing
-            and not count_mode
-            and emit is None
-            and (
-                (self._policy_r is None and self._policy_s is None)
-                or (not memory.variable and not kernel.observers)
-            )
-        )
-
-        from ..streams.tuples import JoinResultTuple
-
-        for t, (r_event, s_event) in enumerate(iter(source)):
-            if until is not None and t >= until:
-                break
-            if stop is not None and stop():
-                break
-            if landmark_mode:
-                if t > 0 and t % config.landmark_every == 0:
                     kernel.expire(t, t, reason=expire_reason)
             elif not count_mode:
                 kernel.expire(t - window, t, reason=expire_reason)
@@ -552,7 +395,6 @@ class AsyncJoinEngine:
                             output += matches
                         kernel.insert_batch(stream, batch, t)
                     continue
-                other = memory.other_side(stream)
                 for key in batch:
                     arrivals += 1
                     kernel.observe(stream, key, t)
@@ -564,14 +406,15 @@ class AsyncJoinEngine:
                     if t >= warmup:
                         output += matches
                         if emit is not None and matches:
-                            if stream == "R":
-                                for partner in other.matches(key):
-                                    emit(JoinResultTuple(t, partner.arrival, key))
-                            else:
-                                for partner in other.matches(key):
-                                    emit(JoinResultTuple(partner.arrival, t, key))
+                            for partner in memory.other_side(stream).matches(key):
+                                emit(
+                                    JoinResultTuple(t, partner.arrival, key)
+                                    if stream == "R"
+                                    else JoinResultTuple(partner.arrival, t, key)
+                                )
 
                     if count_mode:
+                        # The tuple's own arrival pushes the count window.
                         sequence[stream] += 1
                         kernel.expire(
                             sequence[stream] - window, t,
@@ -587,11 +430,10 @@ class AsyncJoinEngine:
                 occupancy_r.append(t, memory.r.size)
                 occupancy_s.append(t, memory.s.size)
 
-            if config.validate:
+            if validate:
                 self._check_invariants(t)
 
-            ticks = t + 1
-            if on_summary is not None and ticks % stride == 0:
+            if on_summary is not None and (t + 1) % stride == 0:
                 on_summary(RunSummary(
                     engine="async",
                     policy_name=self.policy_name,
@@ -601,12 +443,15 @@ class AsyncJoinEngine:
 
             if t == hook_next:
                 hook_next = t + on_tick_every
+                # `sequence` is stored by reference: the state is only
+                # valid inside the hook call, before the next mutation,
+                # so checkpoint() copies it lazily on demand.
                 self._tick_state = (t, output, total_output, arrivals, sequence)
                 on_tick(self, t)
 
         self._tick_state = None
         snapshot = None
-        if obs is not None:
+        if timed:
             run_timer.stop()
             obs.counter("engine.matches").inc(total_output)
             obs.counter("engine.output").inc(output)
@@ -617,32 +462,34 @@ class AsyncJoinEngine:
             obs.record_phase("engine/run", run_timer.seconds)
             snapshot = obs.snapshot()
 
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
-
         return AsyncRunResult(
             output_count=output,
             total_output_count=total_output,
-            ticks=ticks,
+            ticks=t + 1,
             arrivals=arrivals,
             policy_name=self.policy_name,
             drop_counts=drop_counts,
             metrics=snapshot,
-            trace=trace_events,
+            trace=tracer.collect() if tracing else None,
         )
 
-    def _run_exact_stream(
-        self, source, until, stop, on_summary, stride
-    ) -> AsyncRunResult:
-        """Streaming analogue of :meth:`_run_exact_counts`.
+    # ------------------------------------------------------------------
+    # the count-only EXACT lane
+    # ------------------------------------------------------------------
+    def _run_exact(self, events, on_summary, stride) -> AsyncRunResult:
+        """Dictionary count arithmetic for policy-less time-window runs.
 
-        Policy-less, uninstrumented, unhooked time-window source runs
-        reduce to :func:`repro.core.batched.exact_stream_counts` —
-        bounded dictionary state for arbitrarily long streams.
+        Dispatched from :meth:`_run_ticks` when nothing needs per-tuple
+        state: no policy, no metrics, no tracer, no per-tick hook, no
+        sink, no resume.  Sharded EXACT execution lands here — every
+        shard is a policy-less time-mode run over mostly-empty ticks —
+        so the lane removes the kernel, record allocation, and memory
+        maintenance from the sharding hot path while staying
+        bit-identical (a regression gate pins it to the kernel path).
+        Working state is bounded by the window contents, so unbounded
+        sources are safe (see :func:`repro.core.batched.exact_stream_counts`).
         """
         from .batched import exact_stream_counts
-        from .results import DROP_EXPIRED, empty_side_drop_counts
 
         config = self.config
         self._kernel = None
@@ -664,13 +511,12 @@ class AsyncJoinEngine:
 
         output, total_output, arrivals, expired_r, expired_s, ticks = (
             exact_stream_counts(
-                iter(source),
+                events,
                 config.window,
                 config.warmup,
                 capacity=self.memory.capacity,
                 variable=self.memory.variable,
-                until=until,
-                stop=stop,
+                overflow_error=CapacityExceededError,
                 on_progress=on_progress,
                 progress_every=stride if on_summary is not None else 0,
             )
@@ -784,21 +630,3 @@ class AsyncJoinEngine:
             if memory.r.size > half or memory.s.size > half:
                 raise AssertionError(f"tick {now}: a side exceeds its budget")
 
-
-def batches_from_pair(pair: StreamPair) -> tuple[list[list], list[list]]:
-    """The synchronous workload as one-tuple-per-tick batches.
-
-    .. deprecated::
-        This materializes both streams positionally (``pair.r`` /
-        ``pair.s``) into per-tick lists — the contract the source
-        refactor removes.  Run
-        ``engine.run_stream(PairSource(pair))`` instead; it is
-        bit-identical and does not copy the streams.
-    """
-    warnings.warn(
-        "batches_from_pair is deprecated; use "
-        "AsyncJoinEngine.run_stream(PairSource(pair)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [[key] for key in pair.r], [[key] for key in pair.s]

@@ -22,9 +22,11 @@ arithmetic:
   ``min(t + 1, w)`` residents.
 
 The lanes here are *gated*, not general: callers must verify the
-configuration cannot overflow (``capacity >= 2 * window`` for the
-synchronous engine) or must pass capacity bounds for the lane to check
-(the asynchronous lane, where bursts can overflow).  A regression gate
+configuration cannot overflow (``capacity >= 2 * window`` for
+:func:`exact_chunk_counts`, the synchronous engine's pair input) or
+must pass capacity bounds for the lane to check
+(:func:`exact_stream_counts`, which serves source input and the
+asynchronous engine, where bursts can overflow).  A regression gate
 (``benchmarks/bench_batch.py``) pins the lane output bit-identical to
 the per-tuple engines.
 
@@ -41,6 +43,7 @@ from collections import deque
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..streams.batches import StreamChunk
+from ..streams.sources import bounded_events
 from .batched_policies import (
     LaneTotals,
     lane_kind_for_policies,
@@ -152,95 +155,17 @@ def exact_tick_counts(
 ) -> tuple[int, int, int, int, int]:
     """Run the asynchronous EXACT join over per-tick arrival batches.
 
-    Semantics of ``AsyncJoinEngine.run`` in time-window mode with a
-    ``None`` policy: per tick — expire ``arrival <= t - window`` on both
-    sides, then process the R batch and then the S batch, each tuple
-    probing the opposite counts when processed (so a same-tick pair is
-    found by the later-processed partner, and R arrivals of tick ``t``
-    are visible to tick ``t``'s S probes).
-
-    Unlike the synchronous lane, bursts can overflow the budget, so
-    inserts check capacity exactly where :meth:`JoinKernel.insert`
-    would and raise ``overflow_error`` with the kernel's message.
-
+    :func:`exact_stream_counts` over ``zip(r_batches, s_batches)``.
     Returns ``(output, total_output, arrivals, expired_r, expired_s)``.
     """
-    r_counts: dict = {}
-    s_counts: dict = {}
-    # Per-side expiry queues of (arrival, key); arrivals enter in tick
-    # order, so expiry only inspects the front.
-    r_queue: deque = deque()
-    s_queue: deque = deque()
-
-    output = 0
-    total_output = 0
-    arrivals = 0
-    expired_r = 0
-    expired_s = 0
-    r_size = 0
-    s_size = 0
-
-    r_get = r_counts.get
-    s_get = s_counts.get
-    half = capacity // 2
-
-    ticks = len(r_batches)
-    for t in range(ticks):
-        horizon = t - window
-        if horizon >= 0:  # earliest arrival is 0; skip warm-start ticks
-            while r_queue and r_queue[0][0] <= horizon:
-                _, key = r_queue.popleft()
-                remaining = r_counts[key] - 1
-                if remaining:
-                    r_counts[key] = remaining
-                else:
-                    del r_counts[key]
-                expired_r += 1
-                r_size -= 1
-            while s_queue and s_queue[0][0] <= horizon:
-                _, key = s_queue.popleft()
-                remaining = s_counts[key] - 1
-                if remaining:
-                    s_counts[key] = remaining
-                else:
-                    del s_counts[key]
-                expired_s += 1
-                s_size -= 1
-
-        batch = r_batches[t]
-        if batch:
-            for key in batch:
-                arrivals += 1
-                matches = s_get(key, 0)
-                total_output += matches
-                if t >= warmup:
-                    output += matches
-                if (r_size + s_size >= capacity) if variable else (r_size >= half):
-                    raise overflow_error(
-                        f"memory overflow at t={t} with no shedding policy "
-                        f"(capacity {capacity})"
-                    )
-                r_counts[key] = r_get(key, 0) + 1
-                r_queue.append((t, key))
-                r_size += 1
-        batch = s_batches[t]
-        if batch:
-            for key in batch:
-                arrivals += 1
-                matches = r_get(key, 0)
-                total_output += matches
-                if t >= warmup:
-                    output += matches
-                if (r_size + s_size >= capacity) if variable else (s_size >= half):
-                    raise overflow_error(
-                        f"memory overflow at t={t} with no shedding policy "
-                        f"(capacity {capacity})"
-                    )
-                s_counts[key] = s_get(key, 0) + 1
-                s_queue.append((t, key))
-                s_size += 1
-
-    return output, total_output, arrivals, expired_r, expired_s
+    return exact_stream_counts(
+        zip(r_batches, s_batches),
+        window,
+        warmup,
+        capacity=capacity,
+        variable=variable,
+        overflow_error=overflow_error,
+    )[:5]
 
 
 def exact_stream_counts(
@@ -257,24 +182,27 @@ def exact_stream_counts(
     on_progress: Optional[Callable] = None,
     progress_every: int = 0,
 ) -> tuple[int, int, int, int, int, int]:
-    """Run the EXACT join incrementally over a source's event iterator.
+    """Run the EXACT join incrementally over per-tick arrival batches.
 
-    The bounded-memory analogue of :func:`exact_tick_counts`: ``events``
-    yields per-tick ``(r_keys, s_keys)`` arrival batches (a
-    :class:`repro.streams.sources.Source` iterator), which may be
-    unbounded — working state is two count dicts plus two expiry queues,
-    all bounded by the window contents, never by stream length.  This is
-    the lane ``make soak`` exercises.
+    ``events`` yields per-tick ``(r_keys, s_keys)`` arrival batches (a
+    :class:`repro.streams.sources.Source` iterator, or zipped per-tick
+    lists), which may be unbounded — working state is two count dicts
+    plus two expiry queues, all bounded by the window contents, never by
+    stream length.  This is the lane ``make soak`` exercises.
 
-    Counting is order-equivalent for both engines' EXACT semantics: R
-    arrivals are probed against resident S then admitted before the S
-    batch probes, so a same-tick pair is counted once — exactly the
-    asynchronous per-tuple order, and exactly the synchronous engine's
-    probes-plus-top-path total.  ``count_simultaneous=False`` (a
-    synchronous-engine knob) subtracts the same-tick pairs.
+    Per tick: expire ``arrival <= t - window`` on both sides, then
+    process the R batch and then the S batch, each tuple probing the
+    opposite counts when processed.  That order is exact for both
+    engines' EXACT semantics: a same-tick pair is counted once, by the
+    later-processed partner — the asynchronous per-tuple order, and the
+    synchronous engine's probes-plus-top-path total.
+    ``count_simultaneous=False`` (a synchronous-engine knob) subtracts
+    the same-tick pairs.  Bursts can overflow the budget, so inserts
+    check capacity exactly where :meth:`JoinKernel.insert` would and
+    raise ``overflow_error`` with the kernel's message.
 
-    ``until`` bounds the tick count, ``stop()`` is polled each tick for
-    cooperative shutdown (``repro serve``'s SIGINT path), and
+    ``until`` bounds the tick count and ``stop()`` is polled before each
+    pull (see :func:`~repro.streams.sources.bounded_events`);
     ``on_progress(t, output, total_output, arrivals, expired_r,
     expired_s)`` fires after every ``progress_every`` ticks — the
     rolling-summary hook.
@@ -294,17 +222,17 @@ def exact_stream_counts(
     expired_s = 0
     r_size = 0
     s_size = 0
-    ticks = 0
 
     r_get = r_counts.get
     s_get = s_counts.get
     half = capacity // 2
+    uncount = not count_simultaneous
+    if on_progress is None:
+        progress_every = 0
 
-    for t, (r_batch, s_batch) in enumerate(events):
-        if until is not None and t >= until:
-            break
-        if stop is not None and stop():
-            break
+    t = -1
+    for r_batch, s_batch in bounded_events(events, until, stop):
+        t += 1
         horizon = t - window
         if horizon >= 0:
             while r_queue and r_queue[0][0] <= horizon:
@@ -356,7 +284,7 @@ def exact_stream_counts(
                 s_counts[key] = s_get(key, 0) + 1
                 s_queue.append((t, key))
                 s_size += 1
-        if not count_simultaneous and r_batch and s_batch:
+        if uncount and r_batch and s_batch:
             # The synchronous engine's top path is optional; the insert
             # order above already counted every same-tick pair, so take
             # them back out.
@@ -367,9 +295,7 @@ def exact_stream_counts(
             total_output -= cross
             if t >= warmup:
                 output -= cross
-        ticks = t + 1
-
-        if progress_every and ticks % progress_every == 0 and on_progress is not None:
+        if progress_every and (t + 1) % progress_every == 0:
             on_progress(t, output, total_output, arrivals, expired_r, expired_s)
 
-    return output, total_output, arrivals, expired_r, expired_s, ticks
+    return output, total_output, arrivals, expired_r, expired_s, t + 1

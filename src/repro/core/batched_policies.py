@@ -32,9 +32,12 @@ hot loop can drive per :class:`~repro.streams.batches.StreamChunk`:
 
 Identity contract
 -----------------
-Every lane reproduces ``JoinEngine._run_fast`` bit-for-bit: output and
+Every lane reproduces the engine's per-tuple loops (``_run_fast`` on
+pair input, the kernel loop on source input) bit-for-bit: output and
 total-output counts, the drop ledger, survival departures, and the
-sampled occupancy/share series.  The load-bearing structural facts (all
+sampled occupancy/share series.  The engine drives all three lanes
+through one driver, ``JoinEngine._run_policy_lanes``, fed by
+``encode_chunks(pair)`` or by source events re-chunked on the fly.  The load-bearing structural facts (all
 asserted by ``tests/test_policy_batched.py`` across policies × batch
 sizes × allocation modes):
 

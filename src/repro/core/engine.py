@@ -21,12 +21,27 @@ Timing within one tick ``t``
 Because probes precede admissions, a tuple evicted at time ``t`` has
 already produced its matches with the time-``t`` arrivals; its survival
 record therefore covers probe events ``arrival + 1 .. t``.
+
+Execution paths
+---------------
+:meth:`JoinEngine._dispatch` picks one of five implementations of that
+tick, for pair input (a plain ``PairSource``) and source input alike:
+
+* :meth:`~JoinEngine._run_incremental` — the kernel loop, the one
+  per-tuple reference loop (tracers, ``emit`` sinks, validation, and
+  the pair-only features run here);
+* :meth:`~JoinEngine._run_fast` — the inlined hot loop for pair input;
+* :meth:`~JoinEngine._run_exact_batched` and
+  :meth:`~JoinEngine._run_policy_lanes` — the columnar lanes
+  (``batch_size``);
+* :meth:`~JoinEngine._run_exact_stream` — the count-only EXACT lane for
+  source input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Union
+from typing import Optional, Union
 
 from ..obs import Timer, active_or_none
 from ..obs.trace import (
@@ -36,7 +51,7 @@ from ..obs.trace import (
     TraceEvent,
     tracing_or_none,
 )
-from ..streams.sources import PairSource, Source, as_source
+from ..streams.sources import PairSource, Source, as_source, bounded_events
 from ..streams.tuples import JoinResultTuple, StreamPair
 from .kernel import JoinKernel
 from .memory import JoinMemory, TupleRecord
@@ -49,7 +64,6 @@ from .results import (
     BaseRunResult,
     DropBreakdown,
     RunSummary,
-    empty_side_drop_counts,
 )
 
 #: Accepted policy specs: ``None`` / ``EvictionPolicy`` /
@@ -130,9 +144,10 @@ class EngineConfig:
         (ARM, FIFO) needs tuple granularity.  Results are bit-identical
         either way.
     force_general:
-        Route the run through the general per-tick loop even when the
-        fast path would apply (benchmarking only: lets overhead
-        comparisons pin both sides to the same execution lane).
+        Route a pair-input run through the kernel loop (the one
+        per-tuple reference loop) even when the fast loop or a lane
+        would apply (benchmarking only: lets overhead comparisons pin
+        both sides to the same execution lane).
     validate:
         Run per-tick invariant checks (tests only; slow).
     """
@@ -258,7 +273,7 @@ class JoinEngine:
         self.memory = JoinMemory(config.memory, variable=config.variable)
         self.metrics = metrics
         self.trace = trace
-        self._kernel = None  # live only while the general loop executes
+        self._kernel = None  # live only while the kernel loop executes
 
         resolved = resolve_policy_spec(policy, self.memory, variable=config.variable)
         self._policy_r = resolved.r
@@ -278,10 +293,7 @@ class JoinEngine:
         """Process a finite stream pair and return the run's results.
 
         Implemented as ``run_stream(PairSource(pair))``: the pair is one
-        particular source, and :meth:`run_stream` routes a plain
-        ``PairSource`` with no streaming options to the historical
-        pair-path loops — results are bit-identical to the pre-source
-        engine (a regression test pins them).
+        particular source, run as *pair input* (see :meth:`run_stream`).
         """
         return self.run_stream(PairSource(pair))
 
@@ -302,11 +314,13 @@ class JoinEngine:
         :class:`~repro.streams.sources.Source` protocol (or a
         :class:`StreamPair`, adapted automatically).  A plain
         :class:`~repro.streams.sources.PairSource` with none of the
-        streaming options takes the historical pair-path loops
-        (:meth:`_run_pair`), bit-identical to the pre-source engine;
-        everything else runs the *incremental* path, whose working state
-        is bounded by the window/memory budget — never by stream length
-        — so unbounded sources are safe.
+        streaming options is *pair input*: it may use the features that
+        hold per-arrival state (survival records, ``materialize``,
+        ``track_shares``, memory/window schedules, ``profile``).
+        Everything else is *source input*, whose working state is
+        bounded by the window/memory budget — never by stream length —
+        so unbounded sources are safe.  :meth:`_dispatch` picks the path
+        for both.
 
         Parameters
         ----------
@@ -323,17 +337,14 @@ class JoinEngine:
             the counters so far after every ``on_summary_every`` ticks
             (default 4096 when only the callback is given).
         stop:
-            Cooperative shutdown: a ``() -> bool`` callable polled each
-            tick; a truthy return ends the run cleanly (``repro serve``
-            wires SIGINT here).
+            Cooperative shutdown: a ``() -> bool`` callable polled
+            before each tick is pulled; a truthy return ends the run
+            cleanly (``repro serve`` wires SIGINT here).
 
-        The incremental path keeps the synchronous tick semantics,
-        generalized to per-tick batches: expiry, then all probes of the
-        tick (against resident state, plus the same-tick cross pairs the
-        top path contributes), then admissions R-batch-first.  Survival
-        tracking and the pair-only features (``materialize``,
-        ``track_shares``, schedules, ``profile``) are unsupported here —
-        they hold per-arrival state, which an unbounded stream forbids.
+        Both inputs keep the synchronous tick semantics, generalized to
+        per-tick batches: expiry, then all probes of the tick (against
+        resident state, plus the same-tick cross pairs the top path
+        contributes), then admissions R-batch-first.
         """
         source = as_source(source)
         if until is not None and until < 0:
@@ -349,7 +360,7 @@ class JoinEngine:
             or stop is not None
         )
         if isinstance(source, PairSource) and not streaming:
-            return self._run_pair(source.pair)
+            return self._dispatch(source, source.pair)
 
         config = self.config
         unsupported = [
@@ -373,94 +384,86 @@ class JoinEngine:
             raise ValueError(
                 "unbounded source: pass until= and/or stop= to bound the run"
             )
-        stride = on_summary_every or 4096
-
-        obs = active_or_none(self.metrics)
-        tracer = tracing_or_none(self.trace)
-        if (
-            obs is None
-            and tracer is None
-            and emit is None
-            and not config.validate
-            and self._policy_r is None
-            and self._policy_s is None
-            and not self._observers
-        ):
-            return self._run_exact_stream(source, until, stop, on_summary, stride)
-        if (
-            obs is None
-            and tracer is None
-            and emit is None
-            and on_summary is None
-            and not config.validate
-            and config.batch_size is not None
-            and getattr(source, "unit_rate", False)
-        ):
-            kind = self._policy_lane_kind()
-            if kind is not None:
-                return self._run_policy_stream(source, until, stop, kind)
-        return self._run_incremental(
-            source, obs, tracer, until, emit, on_summary, stride, stop
+        return self._dispatch(
+            source, None, until, emit, on_summary, on_summary_every or 4096, stop
         )
 
     # ------------------------------------------------------------------
-    def _run_pair(self, pair: StreamPair) -> RunResult:
-        """The materialized pair path (see :meth:`run`).
+    def _dispatch(
+        self, source, pair, until=None, emit=None, on_summary=None, stride=0,
+        stop=None,
+    ) -> RunResult:
+        """Pick the execution path for pair input (``pair`` given) or
+        source input.
 
-        Dispatches to one of two loop implementations with identical
-        semantics (a regression test pins them to each other):
-
-        * the *fast loop* — the throughput path, with probes and
-          admissions inlined, counters batched into plain ints, and (if
-          a metrics registry is attached) instrumentation reduced to
-          end-of-run flushes plus sampled occupancy series;
-        * the *general loop* — tracing, time-varying budgets/windows,
-          result materialisation, share tracking, per-tick invariant
-          checks, and ``profile`` metrics (per-phase timers) all run
-          here.
-
-        With ``config.batch_size`` set, eligible configurations take a
-        third implementation — the *columnar batched lanes*
-        (:meth:`_run_exact_batched` for policy-less lossless runs,
-        :meth:`_run_policy_batched` for RAND/PROB/LIFE with static
-        probability tables); see :attr:`EngineConfig.batch_size` for the
-        fallback matrix.
+        Tracers, ``emit`` sinks, per-tick validation, and — on pair
+        input — ``force_general`` and the pair-only features need tuple
+        granularity and run the kernel loop (:meth:`_run_incremental`).
+        Otherwise pair input takes a columnar lane when ``batch_size``
+        covers the configuration (:meth:`_run_exact_batched` for
+        policy-less lossless runs, :meth:`_run_policy_lanes` for
+        RAND/PROB/LIFE with static tables) and the inlined
+        :meth:`_run_fast` loop when not.  Uninstrumented source input
+        takes the count-only EXACT lane (:meth:`_run_exact_stream`) when
+        policy-less, the policy lanes on a unit-rate source with
+        ``batch_size`` and no ``on_summary``, and the kernel loop
+        otherwise.
         """
         config = self.config
         obs = active_or_none(self.metrics)
         tracer = tracing_or_none(self.trace)
-        if (
-            tracer is None
-            and config.memory_schedule is None
-            and config.window_schedule is None
-            and not config.materialize
-            and not config.track_shares
-            and not config.validate
-            and not (config.profile and obs is not None)
-            and not config.force_general
-        ):
+        per_tuple = tracer is not None or emit is not None or config.validate
+        policyless = (
+            self._policy_r is None and self._policy_s is None and not self._observers
+        )
+        if pair is not None:
+            if (
+                per_tuple
+                or config.force_general
+                or config.materialize
+                or config.track_shares
+                or config.memory_schedule is not None
+                or config.window_schedule is not None
+                or (config.profile and obs is not None)
+            ):
+                return self._run_incremental(iter(source), obs, tracer, pair)
             if config.batch_size is not None:
-                if (
-                    self._policy_r is None
-                    and self._policy_s is None
-                    and not self._observers
-                    and self.memory.capacity >= 2 * config.window
-                ):
+                if policyless and self.memory.capacity >= 2 * config.window:
                     return self._run_exact_batched(pair, obs)
                 kind = self._policy_lane_kind()
                 if kind is not None:
-                    return self._run_policy_batched(pair, obs, kind)
+                    from ..streams.batches import encode_chunks
+
+                    chunks = encode_chunks(pair, config.batch_size)
+                    return self._run_policy_lanes(chunks, kind, obs, len(pair))
             return self._run_fast(pair, obs)
-        return self._run_general(pair, obs, tracer)
+
+        events = bounded_events(source, until, stop)
+        if obs is None and not per_tuple:
+            if policyless:
+                return self._run_exact_stream(events, on_summary, stride)
+            if (
+                on_summary is None
+                and config.batch_size is not None
+                and getattr(source, "unit_rate", False)
+            ):
+                kind = self._policy_lane_kind()
+                if kind is not None:
+                    chunks = self._chunks_from_source(events, config.batch_size)
+                    return self._run_policy_lanes(chunks, kind, None, None)
+        return self._run_incremental(
+            events, obs, tracer, None, emit, on_summary, stride
+        )
 
     # ------------------------------------------------------------------
     def _run_fast(self, pair: StreamPair, obs) -> RunResult:
-        """The inlined hot loop (see :meth:`run`).
+        """The inlined hot loop for pair input (see :meth:`_dispatch`).
 
         Every per-tick attribute lookup is hoisted into a local, probes
         read the per-key alive counters directly, admissions are inlined
         (including the eviction contest), and drop tallies are plain
-        ints flushed into the result's ledger once at the end.
+        ints flushed into the result's ledger once at the end.  A
+        regression test pins it to the kernel loop.
         """
         config = self.config
         memory = self.memory
@@ -502,6 +505,7 @@ class JoinEngine:
         simultaneous_total = 0
         rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
 
+        run_timer = None
         timed = obs is not None
         if timed:
             run_timer = Timer()
@@ -509,7 +513,7 @@ class JoinEngine:
             occupancy_r = obs.series("engine.occupancy", side="R")
             occupancy_s = obs.series("engine.occupancy", side="S")
             share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
+            sample_every = self._sample_every()
         else:
             sample_every = 0
 
@@ -642,46 +646,19 @@ class JoinEngine:
         # Tuples still resident at stream end would have served their
         # full window; record the counterfactual natural departure.
         if track_survival:
-            for side in (mem_r, mem_s):
+            for side, departures in ((mem_r, r_departures), (mem_s, s_departures)):
                 for record in side.records():
-                    self._set_departure(
-                        r_departures, s_departures, record, record.arrival + window - 1
-                    )
+                    departures[record.arrival] = record.arrival + window - 1
 
-        drop_counts = {
-            "R": {DROP_REJECTED: rej_r, DROP_EVICTED: ev_r, DROP_EXPIRED: exp_r},
-            "S": {DROP_REJECTED: rej_s, DROP_EVICTED: ev_s, DROP_EXPIRED: exp_s},
-        }
-
-        snapshot = None
-        if timed:
-            run_timer.stop()
-            self._flush_metrics(
-                obs, length, total_output, simultaneous_total, output, drop_counts
-            )
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=r_departures,
-            s_departures=s_departures,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=None,
+        return self._result(
+            output, total_output, simultaneous_total, length,
+            _ledger(rej_r, ev_r, exp_r, rej_s, ev_s, exp_s),
+            obs=obs, run_timer=run_timer, departures=(r_departures, s_departures),
         )
 
     # ------------------------------------------------------------------
     def _run_exact_batched(self, pair: StreamPair, obs) -> RunResult:
-        """The columnar EXACT count lane (see :meth:`run`).
+        """The columnar EXACT count lane for pair input.
 
         Replaces per-match iteration with dictionary count arithmetic
         over struct-of-arrays chunks (:mod:`repro.core.batched`).  Only
@@ -696,72 +673,43 @@ class JoinEngine:
 
         config = self.config
         window = config.window
-        warmup = config.warmup
-        assert warmup is not None
         length = len(pair)
 
-        timed = obs is not None
-        if timed:
+        run_timer = None
+        if obs is not None:
             run_timer = Timer()
             run_timer.start()
 
         output, total_output, simultaneous_total, _ = exact_chunk_counts(
             encode_chunks(pair, config.batch_size),
             window,
-            warmup,
+            config.warmup,
             count_simultaneous=config.count_simultaneous,
         )
 
         # EXACT never rejects or evicts; each side expires exactly the
         # arrivals older than the final window.
         expired = max(0, length - window)
-        drop_counts = {
-            "R": {DROP_REJECTED: 0, DROP_EVICTED: 0, DROP_EXPIRED: expired},
-            "S": {DROP_REJECTED: 0, DROP_EVICTED: 0, DROP_EXPIRED: expired},
-        }
         # Every tuple serves its full window: natural departure at
         # arrival + w - 1, for the expired and the end-resident alike.
-        r_departures = s_departures = None
+        departures = None
         if config.track_survival:
-            r_departures = [arrival + window - 1 for arrival in range(length)]
-            s_departures = list(r_departures)
+            natural = [arrival + window - 1 for arrival in range(length)]
+            departures = (natural, list(natural))
 
-        snapshot = None
-        if timed:
+        if obs is not None:
             # After tick t's admissions each side holds min(t+1, window)
             # residents — the same samples the per-tuple loop records.
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
-            for t in range(0, length, sample_every):
+            sample = _occupancy_sampler(obs)
+            for t in range(0, length, self._sample_every()):
                 size = min(t + 1, window)
-                occupancy_r.append(t, size)
-                occupancy_s.append(t, size)
-                share_series.append(t, 0.5)
-            run_timer.stop()
-            self._flush_metrics(
-                obs, length, total_output, simultaneous_total, output,
-                drop_counts, final_occupancy=min(length, window),
-            )
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
+                sample(t, size, size)
 
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=r_departures,
-            s_departures=s_departures,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=None,
+        return self._result(
+            output, total_output, simultaneous_total, length,
+            _ledger(0, 0, expired, 0, 0, expired),
+            obs=obs, run_timer=run_timer, departures=departures,
+            final_occupancy=(min(length, window),) * 2,
         )
 
     # ------------------------------------------------------------------
@@ -782,19 +730,50 @@ class JoinEngine:
         )
 
     # ------------------------------------------------------------------
-    def _run_policy_lane(
-        self, chunks, kind, r_departures, s_departures, sampler, sample_every
-    ):
-        """Dispatch chunks into the matching policy lane (see
-        :mod:`repro.core.batched_policies`), feeding it the policies'
-        own state: RAND's generators, PROB/LIFE's static
-        partner-probability tables."""
+    def _run_policy_lanes(
+        self, chunks, kind: str, obs, length: Optional[int]
+    ) -> RunResult:
+        """The columnar policy lanes, for pair and source input alike.
+
+        RAND/PROB/LIFE runs with static probability tables collapse to
+        flat per-chunk state (count dicts, key rings, priority heaps,
+        per-key aggregate cells) — no :class:`TupleRecord` allocation,
+        no policy method dispatch; the lanes of
+        :mod:`repro.core.batched_policies` read the policies' own state
+        (RAND's generators, PROB/LIFE's partner-probability tables).
+
+        ``chunks`` come from ``encode_chunks(pair)`` for pair input
+        (``length`` is the pair's) or from :meth:`_chunks_from_source`
+        for source input (``length`` is ``None``).  Survival arrays and
+        the metrics sampler exist for pair input only; source input
+        keeps ``O(window + batch_size)`` ring buffers, so unbounded
+        streams are safe.  Output, drop ledger, survival departures, and
+        metrics are bit-identical to the per-tuple loops;
+        ``benchmarks/bench_policy_batch.py`` pins the contract.
+        """
         from .batched import life_chunk_run, prob_chunk_run, rand_chunk_run
 
         config = self.config
         memory = self.memory
-        warmup = config.warmup
-        assert warmup is not None
+        window = config.window
+
+        r_departures = s_departures = None
+        if length is not None and config.track_survival:
+            # Natural departures cover the expired and the end-resident;
+            # the lane overwrites only the rejected (t) and the evicted
+            # (eviction tick) — same arrays the per-tuple loop builds.
+            r_departures = [arrival + window - 1 for arrival in range(length)]
+            s_departures = list(r_departures)
+
+        run_timer = None
+        sampler = None
+        sample_every = 0
+        if obs is not None:
+            run_timer = Timer()
+            run_timer.start()
+            sampler = _occupancy_sampler(obs)
+            sample_every = self._sample_every()
+
         common = dict(
             capacity=memory.capacity,
             variable=memory.variable,
@@ -805,136 +784,44 @@ class JoinEngine:
             sample_every=sample_every,
         )
         if kind == "rand":
-            return rand_chunk_run(
+            totals = rand_chunk_run(
                 chunks,
-                config.window,
-                warmup,
+                window,
+                config.warmup,
                 rng_r=self._policy_r._rng,
                 rng_s=None if memory.variable else self._policy_s._rng,
                 **common,
             )
-        if memory.variable:
-            probs = self._policy_r._partner_probs
-            probs_r = probs["R"]
-            probs_s = probs["S"]
         else:
-            probs_r = self._policy_r._partner_probs["R"]
-            probs_s = self._policy_s._partner_probs["S"]
-        lane = prob_chunk_run if kind == "prob" else life_chunk_run
-        return lane(
-            chunks,
-            config.window,
-            warmup,
-            probs_r=probs_r,
-            probs_s=probs_s,
-            **common,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_policy_batched(self, pair: StreamPair, obs, kind: str) -> RunResult:
-        """The columnar policy lane of the pair path (see :meth:`run`).
-
-        RAND/PROB/LIFE runs with static probability tables collapse to
-        flat per-chunk state (count dicts, key rings, priority heaps,
-        per-key aggregate cells) — no :class:`TupleRecord` allocation,
-        no policy method dispatch.  Output, drop ledger, survival
-        departures, and metrics are bit-identical to :meth:`_run_fast`;
-        ``benchmarks/bench_policy_batch.py`` pins the contract.
-        """
-        from ..streams.batches import encode_chunks
-
-        config = self.config
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-        length = len(pair)
-
-        r_departures = s_departures = None
-        if config.track_survival:
-            # Natural departures cover the expired and the end-resident;
-            # the lane overwrites only the rejected (t) and the evicted
-            # (eviction tick) — same arrays the per-tuple loop builds.
-            r_departures = [arrival + window - 1 for arrival in range(length)]
-            s_departures = list(r_departures)
-
-        timed = obs is not None
-        sampler = None
-        sample_every = 0
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
-
-            def sampler(t, r_size, s_size):
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
-
-        totals = self._run_policy_lane(
-            encode_chunks(pair, config.batch_size),
-            kind,
-            r_departures,
-            s_departures,
-            sampler,
-            sample_every,
-        )
-
-        drop_counts = {
-            "R": {
-                DROP_REJECTED: totals.rej_r,
-                DROP_EVICTED: totals.ev_r,
-                DROP_EXPIRED: totals.exp_r,
-            },
-            "S": {
-                DROP_REJECTED: totals.rej_s,
-                DROP_EVICTED: totals.ev_s,
-                DROP_EXPIRED: totals.exp_s,
-            },
-        }
-
-        snapshot = None
-        if timed:
-            run_timer.stop()
-            self._flush_metrics(
-                obs,
-                length,
-                totals.total_output,
-                totals.simultaneous_total,
-                totals.output,
-                drop_counts,
-                final_occupancy=(totals.r_size, totals.s_size),
+            lane = prob_chunk_run if kind == "prob" else life_chunk_run
+            totals = lane(
+                chunks,
+                window,
+                config.warmup,
+                probs_r=self._policy_r._partner_probs["R"],
+                probs_s=self._policy_s._partner_probs["S"],
+                **common,
             )
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
 
-        return RunResult(
-            output_count=totals.output,
-            total_output_count=totals.total_output,
-            length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=r_departures,
-            s_departures=s_departures,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=None,
+        return self._result(
+            totals.output, totals.total_output, totals.simultaneous_total,
+            totals.length,
+            _ledger(
+                totals.rej_r, totals.ev_r, totals.exp_r,
+                totals.rej_s, totals.ev_s, totals.exp_s,
+            ),
+            obs=obs, run_timer=run_timer, departures=(r_departures, s_departures),
+            final_occupancy=(totals.r_size, totals.s_size),
         )
 
     # ------------------------------------------------------------------
-    def _chunks_from_source(self, source, until, stop, batch_size):
-        """Re-chunk a unit-rate source into :class:`StreamChunk` columns.
-
-        Polls ``until``/``stop`` at each tick boundary — the same tick
-        set :meth:`_run_incremental` would process — and emits a chunk
-        every ``batch_size`` ticks plus the remainder.
+    @staticmethod
+    def _chunks_from_source(events, batch_size: int):
+        """Re-chunk unit-rate source events into :class:`StreamChunk`
+        columns: a chunk every ``batch_size`` ticks plus the remainder.
+        ``events`` is already bounded (see
+        :func:`~repro.streams.sources.bounded_events`), so the chunks
+        cover exactly the ticks the kernel loop would process.
         """
         from ..streams.batches import StreamChunk, _encode_column
 
@@ -942,11 +829,7 @@ class JoinEngine:
         buf_s: list = []
         start = 0
         t = 0
-        for r_batch, s_batch in iter(source):
-            if until is not None and t >= until:
-                break
-            if stop is not None and stop():
-                break
+        for r_batch, s_batch in events:
             buf_r.append(r_batch[0])
             buf_s.append(s_batch[0])
             t += 1
@@ -959,62 +842,8 @@ class JoinEngine:
             yield StreamChunk(start, _encode_column(buf_r), _encode_column(buf_s))
 
     # ------------------------------------------------------------------
-    def _run_policy_stream(self, source, until, stop, kind: str) -> RunResult:
-        """The columnar policy lane of the incremental path.
-
-        Unit-rate sources (one arrival per side per tick — the
-        synchronous model) re-chunk into columns on the fly and drive
-        the same lanes as :meth:`_run_policy_batched`.  Working state is
-        ``O(window + batch_size)`` — ring buffers instead of per-arrival
-        arrays — so unbounded streams are safe; like the rest of the
-        incremental path, survival tracking is unavailable here.
-        """
-        config = self.config
-
-        totals = self._run_policy_lane(
-            self._chunks_from_source(source, until, stop, config.batch_size),
-            kind,
-            None,
-            None,
-            None,
-            0,
-        )
-
-        drop_counts = {
-            "R": {
-                DROP_REJECTED: totals.rej_r,
-                DROP_EVICTED: totals.ev_r,
-                DROP_EXPIRED: totals.exp_r,
-            },
-            "S": {
-                DROP_REJECTED: totals.rej_s,
-                DROP_EVICTED: totals.ev_s,
-                DROP_EXPIRED: totals.exp_s,
-            },
-        }
-
-        return RunResult(
-            output_count=totals.output,
-            total_output_count=totals.total_output,
-            length=totals.length,
-            window=config.window,
-            memory=config.memory,
-            warmup=config.warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=None,
-            s_departures=None,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=None,
-            trace=None,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_exact_stream(
-        self, source, until, stop, on_summary, stride
-    ) -> RunResult:
-        """The count-only EXACT lane of the incremental path.
+    def _run_exact_stream(self, events, on_summary, stride) -> RunResult:
+        """The count-only EXACT lane for source input.
 
         Policy-less, uninstrumented source runs reduce to the dictionary
         count arithmetic of :func:`repro.core.batched.exact_stream_counts`
@@ -1024,10 +853,6 @@ class JoinEngine:
         from .batched import exact_stream_counts
 
         config = self.config
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-
         on_progress = None
         if on_summary is not None:
             policy_name = self.policy_name
@@ -1041,55 +866,43 @@ class JoinEngine:
                 ))
 
         output, total_output, _, expired_r, expired_s, ticks = exact_stream_counts(
-            iter(source),
-            window,
-            warmup,
+            events,
+            config.window,
+            config.warmup,
             capacity=self.memory.capacity,
             variable=self.memory.variable,
             count_simultaneous=config.count_simultaneous,
             overflow_error=CapacityExceededError,
-            until=until,
-            stop=stop,
             on_progress=on_progress,
             progress_every=stride if on_summary is not None else 0,
         )
-        drop_counts = empty_side_drop_counts()
-        drop_counts["R"][DROP_EXPIRED] = expired_r
-        drop_counts["S"][DROP_EXPIRED] = expired_s
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=ticks,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=None,
-            s_departures=None,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=None,
-            trace=None,
+        return self._result(
+            output, total_output, 0, ticks,
+            _ledger(0, 0, expired_r, 0, 0, expired_s),
         )
 
     # ------------------------------------------------------------------
     def _run_incremental(
-        self, source, obs, tracer, until, emit, on_summary, stride, stop
+        self, events, obs, tracer, pair=None, emit=None, on_summary=None, stride=0
     ) -> RunResult:
-        """The kernel-driven incremental loop (see :meth:`run_stream`).
+        """The kernel-driven loop: the one per-tuple reference loop.
 
         Synchronous tick semantics generalized to arrival batches: per
         tick — expire, observe both batches, probe *both* batches
         against resident state plus the same-tick cross pairs (the top
         path: a new tuple is always seen by the join), then admit the R
         batch and the S batch through the kernel's eviction contests.
-        On one-arrival-per-side ticks this reduces exactly to the pair
-        path's per-tick body.
+        Expiry, probes, admissions, and all their drop/notify/trace
+        bookkeeping run through a :class:`~repro.core.kernel.JoinKernel`.
 
-        No per-arrival state is kept: output pairs go to ``emit``,
+        Pair input (``pair`` given) adds what holds per-arrival state:
+        survival records, ``materialize`` (an emit sink into the
+        result's ``pairs``), ``track_shares``, the memory and window
+        schedules, and per-phase timers when metrics are on; its
+        occupancy series follow ``share_sample_every``.  Source input
+        keeps no per-arrival state: output pairs go to ``emit``,
         progress goes to ``on_summary``, and the only growing structure
-        is the (sampled) metrics series of an instrumented run.
+        is the sampled metrics series of an instrumented run.
         """
         config = self.config
         memory = self.memory
@@ -1097,6 +910,7 @@ class JoinEngine:
         warmup = config.warmup
         assert warmup is not None
         count_sim = config.count_simultaneous
+        validate = config.validate
 
         kernel = JoinKernel(
             memory,
@@ -1106,44 +920,89 @@ class JoinEngine:
             overflow_error=CapacityExceededError,
         )
         self._kernel = kernel
-        drop_counts = kernel.drop_counts
+        expire = kernel.expire
+        observe_batch = kernel.observe_batch
+        probe_batch = kernel.probe_batch
+        insert = kernel.insert
         tracing = tracer is not None
         timed = obs is not None
+
+        departures = pairs = shares = schedule = window_schedule = None
+        phased = False
+        if pair is not None:
+            if config.track_survival:
+                departures = {"R": [0] * len(pair), "S": [0] * len(pair)}
+            if config.materialize:
+                pairs = []
+                emit = pairs.append
+            if config.track_shares:
+                shares = []
+            schedule = _as_schedule(config.memory_schedule)
+            window_schedule = _as_schedule(config.window_schedule)
+            phased = timed
+            sample_every = config.share_sample_every
+        else:
+            sample_every = self._sample_every()
+
+        run_timer = None
+        timers = {}
+        if timed:
+            run_timer = Timer()
+            run_timer.start()
+            sample = _occupancy_sampler(obs)
+            if phased:
+                timers = {
+                    "engine/expire": Timer(),
+                    "engine/probe": Timer(),
+                    "engine/admit": Timer(),
+                }
+                expire_timer, probe_timer, admit_timer = timers.values()
+        else:
+            sample_every = 0
 
         output = 0
         total_output = 0
         simultaneous_total = 0
         arrivals_r = 0
         arrivals_s = 0
-        ticks = 0
-
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
-        else:
-            sample_every = 0
-
         mem_r = memory.r
         mem_s = memory.s
 
-        for t, (r_batch, s_batch) in enumerate(iter(source)):
-            if until is not None and t >= until:
-                break
-            if stop is not None and stop():
-                break
+        t = -1
+        for r_batch, s_batch in events:
+            t += 1
+            # 0. budget / window change (time-varying resources) --------
+            if schedule is not None:
+                target = int(schedule(t))
+                if target != memory.capacity:
+                    memory.resize(target)
+                    # Budget victims were last present for the previous
+                    # tick's probes, so their record ends at t - 1.
+                    for victim in kernel.shed_surplus(t):
+                        if departures is not None:
+                            departures[victim.stream][victim.arrival] = t - 1
+            if window_schedule is not None:
+                window = int(window_schedule(t))
+                if window <= 0:
+                    raise ValueError(f"window schedule produced {window} at t={t}")
 
             # 1. expiry ------------------------------------------------
-            kernel.expire(t - window, t)
+            if phased:
+                expire_timer.start()
+            expired = expire(t - window, t)
+            if departures is not None:
+                for record in expired:
+                    departures[record.stream][record.arrival] = (
+                        record.arrival + window - 1
+                    )
+            if phased:
+                expire_timer.stop()
 
             # 2. statistics hooks --------------------------------------
             arrivals_r += len(r_batch)
             arrivals_s += len(s_batch)
-            kernel.observe_batch("R", r_batch, t)
-            kernel.observe_batch("S", s_batch, t)
+            observe_batch("R", r_batch, t)
+            observe_batch("S", s_batch, t)
             if tracing:
                 for key in r_batch:
                     tracer.emit(TraceEvent(t, "R", key, EVENT_ARRIVE, t))
@@ -1151,9 +1010,9 @@ class JoinEngine:
                     tracer.emit(TraceEvent(t, "S", key, EVENT_ARRIVE, t))
 
             # 3. probes (before any same-tick admission) ---------------
-            matches = kernel.probe_batch("R", r_batch, t) + kernel.probe_batch(
-                "S", s_batch, t
-            )
+            if phased:
+                probe_timer.start()
+            matches = probe_batch("R", r_batch, t) + probe_batch("S", s_batch, t)
             cross = 0
             if count_sim and r_batch and s_batch:
                 if len(r_batch) == 1 and len(s_batch) == 1:
@@ -1180,6 +1039,8 @@ class JoinEngine:
                                 if r_key == key:
                                     emit(JoinResultTuple(t, t, key))
             if tracing and cross:
+                # probe_batch credited the resident partners; the
+                # simultaneous pair has none, so the engine emits it.
                 for key in s_batch:
                     for r_key in r_batch:
                         if r_key == key:
@@ -1189,318 +1050,126 @@ class JoinEngine:
                             ))
 
             # 4. admissions: R batch first, then S ---------------------
-            for key in r_batch:
-                kernel.insert(TupleRecord("R", t, key), t)
-            for key in s_batch:
-                kernel.insert(TupleRecord("S", t, key), t)
+            if phased:
+                probe_timer.stop()
+                admit_timer.start()
+            if departures is None:
+                for key in r_batch:
+                    insert(TupleRecord("R", t, key), t)
+                for key in s_batch:
+                    insert(TupleRecord("S", t, key), t)
+            else:
+                for stream, batch in (("R", r_batch), ("S", s_batch)):
+                    for key in batch:
+                        admitted, victim = insert(TupleRecord(stream, t, key), t)
+                        if not admitted:
+                            # A rejected tuple was only present for its
+                            # own arrival's probes.
+                            departures[stream][t] = t
+                        elif victim is not None:
+                            departures[victim.stream][victim.arrival] = t
+            if phased:
+                admit_timer.stop()
 
+            if shares is not None and t % config.share_sample_every == 0:
+                shares.append((t, mem_r.size, mem_s.size))
             if sample_every and not t % sample_every:
-                r_size = mem_r.size
-                s_size = mem_s.size
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
-
-            if config.validate:
+                sample(t, mem_r.size, mem_s.size)
+            if validate:
                 self._check_invariants(t)
-
-            ticks = t + 1
-            if on_summary is not None and ticks % stride == 0:
+            if on_summary is not None and (t + 1) % stride == 0:
                 on_summary(RunSummary(
                     engine="fast",
                     policy_name=self.policy_name,
                     output_count=output,
-                    drops=DropBreakdown.from_side_counts(drop_counts),
+                    drops=DropBreakdown.from_side_counts(kernel.drop_counts),
                 ))
 
+        # Tuples still resident at stream end would have served their
+        # full window; record the counterfactual natural departure.
+        if departures is not None:
+            for side in (mem_r, mem_s):
+                for record in side.records():
+                    departures[record.stream][record.arrival] = (
+                        record.arrival + window - 1
+                    )
+        self._kernel = None
+
+        return self._result(
+            output, total_output, simultaneous_total, t + 1, kernel.drop_counts,
+            obs=obs, run_timer=run_timer, arrivals=(arrivals_r, arrivals_s),
+            timers=timers, window=window,
+            departures=None if departures is None else (departures["R"], departures["S"]),
+            pairs=pairs, shares=shares, tracer=tracer,
+        )
+
+    # ------------------------------------------------------------------
+    def _sample_every(self) -> int:
+        """Tick cadence of the sampled occupancy series."""
+        config = self.config
+        return config.metrics_sample_every or max(1, config.window // 8)
+
+    def _result(
+        self,
+        output: int,
+        total_output: int,
+        simultaneous_total: int,
+        length: int,
+        drop_counts: dict,
+        *,
+        obs=None,
+        run_timer=None,
+        arrivals: Optional[tuple[int, int]] = None,
+        final_occupancy: Optional[tuple[int, int]] = None,
+        timers: Optional[dict] = None,
+        window: Optional[int] = None,
+        departures: Optional[tuple] = None,
+        pairs: Optional[list] = None,
+        shares: Optional[list] = None,
+        tracer=None,
+    ) -> RunResult:
+        """Flush the end-of-run metrics (with ``obs``) and build the result.
+
+        ``arrivals`` defaults to one arrival per side per tick;
+        ``final_occupancy`` overrides the end-of-run gauge for lanes
+        that never populate the join memory; ``timers`` maps phase paths
+        to the kernel loop's per-phase timers.
+        """
+        memory = self.memory
         snapshot = None
-        if timed:
+        if obs is not None:
             run_timer.stop()
+            arrivals_r, arrivals_s = arrivals or (length, length)
+            if final_occupancy is None:
+                final_occupancy = (memory.r.size, memory.s.size)
             obs.counter("engine.probes").inc(arrivals_r + arrivals_s)
             obs.counter("engine.matches").inc(total_output)
             obs.counter("engine.simultaneous").inc(simultaneous_total)
             obs.counter("engine.output").inc(output)
-            for side, arrived in (("R", arrivals_r), ("S", arrivals_s)):
+            for side, arrived, occupancy in (
+                ("R", arrivals_r, final_occupancy[0]),
+                ("S", arrivals_s, final_occupancy[1]),
+            ):
                 obs.counter("engine.arrivals", side=side).inc(arrived)
                 obs.counter("engine.admissions", side=side).inc(
                     arrived - drop_counts[side][DROP_REJECTED]
                 )
                 for reason, count in drop_counts[side].items():
                     obs.counter("engine.drops", side=side, reason=reason).inc(count)
-                obs.gauge("engine.final_occupancy", side=side).set(
-                    memory.side(side).size
-                )
+                obs.gauge("engine.final_occupancy", side=side).set(occupancy)
+            for path, timer in (timers or {}).items():
+                timer.flush(obs, path)
             obs.record_phase("engine/run", run_timer.seconds)
             snapshot = obs.snapshot()
 
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
-        self._kernel = None
-
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=ticks,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=None,
-            s_departures=None,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=trace_events,
-        )
-
-    # ------------------------------------------------------------------
-    def _flush_metrics(
-        self,
-        obs,
-        length: int,
-        total_output: int,
-        simultaneous_total: int,
-        output: int,
-        drop_counts: dict,
-        *,
-        final_occupancy: Union[int, tuple, None] = None,
-    ) -> None:
-        """End-of-run counter/gauge flush shared by the fast loops.
-
-        ``final_occupancy`` overrides the end-of-run gauge for lanes
-        that never populate the join memory: a single int applies to
-        both sides (the count-only EXACT lane computes residency
-        analytically), an ``(r, s)`` tuple sets them separately (the
-        policy lanes track per-side occupancy).
-        """
-        memory = self.memory
-        obs.counter("engine.probes").inc(2 * length)
-        obs.counter("engine.matches").inc(total_output)
-        obs.counter("engine.simultaneous").inc(simultaneous_total)
-        obs.counter("engine.output").inc(output)
-        for side in ("R", "S"):
-            obs.counter("engine.arrivals", side=side).inc(length)
-            obs.counter("engine.admissions", side=side).inc(
-                length - drop_counts[side][DROP_REJECTED]
-            )
-            for reason, count in drop_counts[side].items():
-                obs.counter("engine.drops", side=side, reason=reason).inc(count)
-            if final_occupancy is None:
-                occupancy = memory.side(side).size
-            elif isinstance(final_occupancy, tuple):
-                occupancy = final_occupancy[0 if side == "R" else 1]
-            else:
-                occupancy = final_occupancy
-            obs.gauge("engine.final_occupancy", side=side).set(occupancy)
-
-    # ------------------------------------------------------------------
-    def _run_general(self, pair: StreamPair, obs, tracer) -> RunResult:
-        """The fully featured loop (see :meth:`run`).
-
-        Expiry, probes, admissions, and all their drop/notify/trace
-        bookkeeping run through a :class:`~repro.core.kernel.JoinKernel`;
-        this loop keeps only what is engine-specific — output counting,
-        warmup, survival records, materialisation, share tracking, the
-        time-varying schedules, and instrumentation.
-        """
-        config = self.config
-        memory = self.memory
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-
-        length = len(pair)
-        r_keys = pair.r
-        s_keys = pair.s
-
-        track_survival = config.track_survival
-        r_departures: Optional[list[int]] = [0] * length if track_survival else None
-        s_departures: Optional[list[int]] = [0] * length if track_survival else None
-
-        pairs: Optional[list[JoinResultTuple]] = [] if config.materialize else None
-        shares: Optional[list[tuple[int, int, int]]] = [] if config.track_shares else None
-
-        output = 0
-        total_output = 0
-        simultaneous_total = 0
-
-        # Observability: `obs` and `tracer` are None on the
-        # uninstrumented path, so the hot loop pays only a handful of
-        # local-boolean branches per tick.
-        kernel = JoinKernel(
-            memory,
-            self._policy_r,
-            self._policy_s,
-            tracer=tracer,
-            overflow_error=CapacityExceededError,
-        )
-        self._kernel = kernel
-        drop_counts = kernel.drop_counts
-        tracing = tracer is not None
-        timed = obs is not None
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            expire_timer = Timer()
-            probe_timer = Timer()
-            admit_timer = Timer()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-
-        schedule = config.memory_schedule
-        if schedule is not None and not callable(schedule):
-            sequence = schedule
-            schedule = lambda t: sequence[t]  # noqa: E731 - tiny adapter
-        window_schedule = config.window_schedule
-        if window_schedule is not None and not callable(window_schedule):
-            window_sequence = window_schedule
-            window_schedule = lambda t: window_sequence[t]  # noqa: E731
-
-        for t in range(length):
-            # 0. budget / window change (time-varying resources) --------
-            if schedule is not None:
-                target = int(schedule(t))
-                if target != memory.capacity:
-                    memory.resize(target)
-                    # Budget victims were last present for the previous
-                    # tick's probes, so their record ends at t - 1.
-                    for victim in kernel.shed_surplus(t):
-                        if track_survival:
-                            self._set_departure(
-                                r_departures, s_departures, victim, t - 1
-                            )
-            if window_schedule is not None:
-                window = int(window_schedule(t))
-                if window <= 0:
-                    raise ValueError(f"window schedule produced {window} at t={t}")
-
-            # 1. expiry ------------------------------------------------
-            if timed:
-                expire_timer.start()
-            for record in kernel.expire(t - window, t):
-                if track_survival:
-                    self._set_departure(
-                        r_departures, s_departures, record, record.arrival + window - 1
-                    )
-
-            if timed:
-                expire_timer.stop()
-
-            r_key = r_keys[t]
-            s_key = s_keys[t]
-
-            # 2. statistics hooks ---------------------------------------
-            kernel.observe("R", r_key, t)
-            kernel.observe("S", s_key, t)
-            if tracing:
-                tracer.emit(TraceEvent(t, "R", r_key, EVENT_ARRIVE, t))
-                tracer.emit(TraceEvent(t, "S", s_key, EVENT_ARRIVE, t))
-
-            # 3. probes -------------------------------------------------
-            if timed:
-                probe_timer.start()
-            matches = kernel.probe("R", r_key, t) + kernel.probe("S", s_key, t)
-            simultaneous = 1 if (config.count_simultaneous and r_key == s_key) else 0
-            total_output += matches + simultaneous
-            simultaneous_total += simultaneous
-            if t >= warmup:
-                output += matches + simultaneous
-                if pairs is not None:
-                    for record in memory.s.matches(r_key):
-                        pairs.append(JoinResultTuple(t, record.arrival, r_key))
-                    for record in memory.r.matches(s_key):
-                        pairs.append(JoinResultTuple(record.arrival, t, s_key))
-                    if simultaneous:
-                        pairs.append(JoinResultTuple(t, t, r_key))
-            if tracing and simultaneous:
-                # kernel.probe credited the resident partners; the
-                # simultaneous pair has none, so the engine emits it.
-                tracer.emit(TraceEvent(
-                    t, "R", r_key, EVENT_JOIN_OUTPUT, t,
-                    None, REASON_SIMULTANEOUS,
-                ))
-
-            # 4. admissions ---------------------------------------------
-            if timed:
-                probe_timer.stop()
-                admit_timer.start()
-            for stream, key in (("R", r_key), ("S", s_key)):
-                record = TupleRecord(stream, t, key)
-                admitted, victim = kernel.insert(record, t)
-                if track_survival:
-                    if not admitted:
-                        # A rejected tuple was only present for its own
-                        # arrival's probes.
-                        self._set_departure(
-                            r_departures, s_departures, record, record.arrival
-                        )
-                    elif victim is not None:
-                        self._set_departure(r_departures, s_departures, victim, t)
-            if timed:
-                admit_timer.stop()
-
-            if shares is not None and t % config.share_sample_every == 0:
-                shares.append((t, memory.r.size, memory.s.size))
-
-            if timed and t % config.share_sample_every == 0:
-                r_size = memory.r.size
-                s_size = memory.s.size
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
-
-            if config.validate:
-                self._check_invariants(t)
-
-        # Tuples still resident at stream end would have served their full
-        # window; record the counterfactual natural departure.
-        if track_survival:
-            for side in (memory.r, memory.s):
-                for record in side.records():
-                    self._set_departure(
-                        r_departures, s_departures, record, record.arrival + window - 1
-                    )
-
-        snapshot = None
-        if obs is not None:
-            run_timer.stop()
-            obs.counter("engine.probes").inc(2 * length)
-            obs.counter("engine.matches").inc(total_output)
-            obs.counter("engine.simultaneous").inc(simultaneous_total)
-            obs.counter("engine.output").inc(output)
-            for side in ("R", "S"):
-                obs.counter("engine.arrivals", side=side).inc(length)
-                obs.counter("engine.admissions", side=side).inc(
-                    length - drop_counts[side][DROP_REJECTED]
-                )
-                for reason, count in drop_counts[side].items():
-                    obs.counter("engine.drops", side=side, reason=reason).inc(count)
-                obs.gauge("engine.final_occupancy", side=side).set(
-                    memory.side(side).size
-                )
-            expire_timer.flush(obs, "engine/expire")
-            probe_timer.flush(obs, "engine/probe")
-            admit_timer.flush(obs, "engine/admit")
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
-        self._kernel = None
-
+        r_departures, s_departures = departures or (None, None)
         return RunResult(
             output_count=output,
             total_output_count=total_output,
             length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
+            window=self.config.window if window is None else window,
+            memory=self.config.memory,
+            warmup=self.config.warmup,
             policy_name=self.policy_name,
             pairs=pairs,
             r_departures=r_departures,
@@ -1508,23 +1177,8 @@ class JoinEngine:
             shares=shares,
             drop_counts=drop_counts,
             metrics=snapshot,
-            trace=trace_events,
+            trace=tracer.collect() if tracer is not None else None,
         )
-
-    # ------------------------------------------------------------------
-    def _policy_for(self, stream: str) -> Optional[EvictionPolicy]:
-        return self._policy_r if stream == "R" else self._policy_s
-
-    @staticmethod
-    def _set_departure(
-        r_departures: Optional[list[int]],
-        s_departures: Optional[list[int]],
-        record: TupleRecord,
-        departure: int,
-    ) -> None:
-        target = r_departures if record.stream == "R" else s_departures
-        if target is not None:
-            target[record.arrival] = departure
 
     def _check_invariants(self, now: int) -> None:
         memory = self.memory
@@ -1545,3 +1199,34 @@ class JoinEngine:
                     raise AssertionError(f"t={now}: dead record in slot array")
                 if record.arrival <= now - self.config.window:
                     raise AssertionError(f"t={now}: expired record {record!r} resident")
+
+
+def _ledger(rej_r, ev_r, exp_r, rej_s, ev_s, exp_s) -> dict:
+    """The per-side drop ledger from the six counts a loop or lane keeps."""
+    return {
+        "R": {DROP_REJECTED: rej_r, DROP_EVICTED: ev_r, DROP_EXPIRED: exp_r},
+        "S": {DROP_REJECTED: rej_s, DROP_EVICTED: ev_s, DROP_EXPIRED: exp_s},
+    }
+
+
+def _occupancy_sampler(obs):
+    """``sample(t, r_size, s_size)``: one point of the occupancy series
+    (per side) and of R's memory share."""
+    occupancy_r = obs.series("engine.occupancy", side="R")
+    occupancy_s = obs.series("engine.occupancy", side="S")
+    share_series = obs.series("engine.memory_share", side="R")
+
+    def sample(t, r_size, s_size):
+        occupancy_r.append(t, r_size)
+        occupancy_s.append(t, s_size)
+        total = r_size + s_size
+        share_series.append(t, (r_size / total) if total else 0.5)
+
+    return sample
+
+
+def _as_schedule(schedule):
+    """A ``t -> value`` callable from a schedule callable or sequence."""
+    if schedule is None or callable(schedule):
+        return schedule
+    return schedule.__getitem__

@@ -11,7 +11,7 @@ and record what they see:
 * :class:`Series` — append-only ``(t, value)`` traces, e.g. per-tick
   occupancy or queue depth;
 * phase timers — nested wall-clock spans (see :mod:`repro.obs.timer`)
-  aggregated per slash-separated path such as ``"run_join/engine"``.
+  aggregated per slash-separated path such as ``"engine/expire"``.
 
 Instruments are identified by ``(name, labels)``; asking for the same
 pair twice returns the same object, so callers can cache instruments in

@@ -25,8 +25,18 @@ are unbounded unless given an explicit ``length``, and
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Optional, Protocol, Union, runtime_checkable
+from typing import (
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -45,6 +55,7 @@ __all__ = [
     "SourceEvent",
     "ZipfSource",
     "as_source",
+    "bounded_events",
     "take_pair",
 ]
 
@@ -432,6 +443,35 @@ def as_source(obj: Union[Source, StreamPair]) -> Source:
     )
 
 
+def bounded_events(
+    events: Iterable[SourceEvent],
+    until: Optional[int] = None,
+    stop: Optional[Callable[[], bool]] = None,
+) -> Iterator[SourceEvent]:
+    """Iterate ``events``, pulling at most ``until`` of them.
+
+    ``stop()`` is polled before each pull and a truthy answer ends the
+    iteration.  Neither bound draws an event it will not hand out, so a
+    run bounded by ``until=n`` pulls exactly ``n`` ticks from its source.
+    """
+    events = iter(events)
+    if stop is not None:
+        events = _until_stopped(events, stop)
+    if until is not None:
+        events = islice(events, until)
+    return events
+
+
+def _until_stopped(events: Iterator[SourceEvent], stop) -> Iterator[SourceEvent]:
+    pull = events.__next__
+    while not stop():
+        try:
+            event = pull()
+        except StopIteration:
+            return
+        yield event
+
+
 def take_pair(
     source: Union[Source, Iterable[SourceEvent]],
     ticks: Optional[int] = None,
@@ -446,9 +486,7 @@ def take_pair(
     """
     r_keys: list[Hashable] = []
     s_keys: list[Hashable] = []
-    for t, (r_batch, s_batch) in enumerate(iter(source)):
-        if ticks is not None and t >= ticks:
-            break
+    for t, (r_batch, s_batch) in enumerate(bounded_events(source, ticks)):
         if len(r_batch) != 1 or len(s_batch) != 1:
             raise ValueError(
                 f"take_pair requires one arrival per side per tick, got "

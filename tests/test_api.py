@@ -11,8 +11,6 @@ from repro.api import (
     compare,
     optimal_offline,
     run,
-    run_join,
-    run_sharded,
 )
 from repro.core.policies import POLICY_NAMES
 from repro.core.results import SCHEMA_VERSION, DropBreakdown, RunSummary
@@ -145,17 +143,14 @@ class TestUnifiedEntrypoint:
         assert "_run_join_shard" not in api_module.__all__
         assert hasattr(api_module, "_run_join_shard")  # private, but real
 
-    def test_run_join_is_a_deprecated_alias(self):
-        spec = small_spec("PROB")
-        with pytest.warns(DeprecationWarning, match="run_join"):
-            legacy = run_join(spec)
-        assert legacy.output_count == run(spec).output_count
+    def test_deprecated_aliases_are_removed(self):
+        import repro
+        import repro.core.async_engine as async_engine
 
-    def test_run_sharded_is_a_deprecated_alias(self):
-        spec = small_spec("PROB", shards=2)
-        with pytest.warns(DeprecationWarning, match="run_sharded"):
-            legacy = run_sharded(spec)
-        assert legacy.output_count == run(spec).output_count
+        for name in ("run_join", "run_sharded"):
+            assert not hasattr(api_module, name)
+            assert not hasattr(repro, name)
+        assert not hasattr(async_engine, "batches_from_pair")
 
     def test_run_itself_never_warns(self):
         import warnings

@@ -4,11 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.async_engine import (
-    AsyncEngineConfig,
-    AsyncJoinEngine,
-    batches_from_pair,
-)
+from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
+from repro.core.engine import CapacityExceededError
 from repro.core.policies import (
     LifePolicy,
     ProbPolicy,
@@ -16,7 +13,9 @@ from repro.core.policies import (
     SidePolicies,
 )
 from repro.experiments import estimators_for
+from repro.obs import MetricsRegistry
 from repro.streams import exact_join_size, zipf_pair
+from repro.streams.sources import PairSource
 
 
 def _policies(pair, kind="PROB", window=10):
@@ -63,7 +62,7 @@ class TestSynchronousEquivalence:
         pair = zipf_pair(120, 6, 1.0, seed=seed)
         config = AsyncEngineConfig(window=window, memory=4 * window, validate=True)
         engine = AsyncJoinEngine(config)
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run_stream(PairSource(pair))
         assert result.output_count == exact_join_size(
             pair, window, count_from=config.warmup
         )
@@ -74,7 +73,7 @@ class TestSynchronousEquivalence:
         exact = exact_join_size(pair, window, count_from=2 * window)
         config = AsyncEngineConfig(window=window, memory=10)
         engine = AsyncJoinEngine(config, policy=_policies(pair, "PROB", window))
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run_stream(PairSource(pair))
         assert 0 < result.output_count <= exact
 
 
@@ -129,7 +128,15 @@ class TestBurstyArrivals:
         pair = zipf_pair(100, 5, 1.0, seed=6)
         config = AsyncEngineConfig(window=20, memory=4)
         with pytest.raises(RuntimeError, match="overflow"):
-            AsyncJoinEngine(config).run(*batches_from_pair(pair))
+            AsyncJoinEngine(config).run_stream(PairSource(pair))
+
+    @pytest.mark.parametrize("metrics", [None, MetricsRegistry()])
+    def test_overflow_is_a_capacity_error_on_both_paths(self, metrics):
+        # metrics=None takes the count-only lane, a registry the kernel loop.
+        batches = [[1, 2, 3]] * 4, [[]] * 4
+        config = AsyncEngineConfig(window=20, memory=4)
+        with pytest.raises(CapacityExceededError, match="overflow at t=0"):
+            AsyncJoinEngine(config, metrics=metrics).run(*batches)
 
 
 class TestAsyncFuzzAgainstReference:
@@ -170,7 +177,7 @@ class TestAsyncFuzzAgainstReference:
         from tests.reference_engine import naive_async_run
 
         pair = zipf_pair(80, 5, 1.0, seed=seed)
-        batches = batches_from_pair(pair)
+        batches = [[key] for key in pair.r], [[key] for key in pair.s]
         estimators = estimators_for(pair)
         config = AsyncEngineConfig(window=8, memory=memory, variable=True, warmup=0)
         engine = AsyncJoinEngine(config, policy=ProbPolicy(estimators))
@@ -218,5 +225,5 @@ class TestCountWindows:
             window=10, memory=8, warmup=20, window_mode="count", validate=True
         )
         engine = AsyncJoinEngine(config, policy=_policies(pair, "PROB"))
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run_stream(PairSource(pair))
         assert result.output_count > 0

@@ -495,6 +495,35 @@ class TestServeCommand:
         assert code == 2
         assert "--replay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["fast", "async"])
+    def test_exact_overflow_exits_2_with_a_hint(self, engine, capsys):
+        # Poisson bursts overflow EXACT's fixed 2w budget (here at t=738):
+        # a one-line error and a hint, not a traceback.
+        code = main(
+            ["serve", "--source", "poisson", "--engine", engine,
+             "--algorithm", "EXACT", "--window", "400", "--rate", "1.0",
+             "--duration", "3000"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: memory overflow at t=738" in err
+        assert "--memory" in err
+        assert "Traceback" not in err
+
+    def test_run_overflow_exits_2(self, capsys, monkeypatch):
+        import repro.cli as cli
+        from repro.core.engine import CapacityExceededError
+
+        def overflow(*args, **kwargs):
+            raise CapacityExceededError("memory overflow at t=5")
+
+        monkeypatch.setattr(cli, "run", overflow)
+        code = main(["run", "--algorithm", "EXACT", "--length", "100"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: memory overflow at t=5" in err
+        assert "--memory" in err
+
     def test_estimator_needs_a_semantic_policy(self, capsys):
         code = main(
             ["serve", "--source", "zipf", "--length", "100",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunSpec, build_pair, run, run_sharded
+from repro.api import RunSpec, build_pair, run
 from repro.core import run_exact
 from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.core.partition import (
@@ -125,11 +125,6 @@ class TestRunSpecValidation:
     def test_trace_incompatible(self):
         with pytest.raises(ValueError, match="trac"):
             RunSpec(shards=2, trace=True)
-
-    def test_run_sharded_needs_two_shards(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="shards"):
-                run_sharded(RunSpec(shards=1))
 
 
 def _spec(algorithm, shards=1, **kwargs):

@@ -36,6 +36,32 @@ from repro.streams.sources import DriftingZipfSource, ZipfSource
 
 SMALL = dict(window=20, memory=10, length=400, seed=3)
 LANE_POLICIES = ("RAND", "RANDV", "PROB", "PROBV", "LIFE", "LIFEV")
+LANE_FUNCTIONS = {"rand": "rand_chunk_run", "prob": "prob_chunk_run",
+                  "life": "life_chunk_run"}
+
+
+def spy_lanes(monkeypatch) -> list:
+    """Record the kind of every policy-lane call (the engine looks the
+    lane functions up in ``repro.core.batched`` at call time)."""
+    import repro.core.batched as batched
+
+    calls = []
+    for kind, name in LANE_FUNCTIONS.items():
+        def spy(*args, _kind=kind, _lane=getattr(batched, name), **kwargs):
+            calls.append(_kind)
+            return _lane(*args, **kwargs)
+
+        monkeypatch.setattr(batched, name, spy)
+    return calls
+
+
+def forbid_lanes(monkeypatch, reason: str) -> None:
+    import repro.core.batched as batched
+
+    for name in LANE_FUNCTIONS.values():
+        monkeypatch.setattr(
+            batched, name, lambda *a, **k: pytest.fail(reason)
+        )
 
 
 def small_spec(algorithm: str, **overrides) -> RunSpec:
@@ -93,29 +119,16 @@ class TestLaneGating:
 
     @pytest.mark.parametrize("algorithm", LANE_POLICIES)
     def test_pair_lane_engages(self, algorithm, monkeypatch):
-        lanes = []
-        original = JoinEngine._run_policy_batched
-
-        def spy(self, pair, obs, kind):
-            lanes.append(kind)
-            return original(self, pair, obs, kind)
-
-        monkeypatch.setattr(JoinEngine, "_run_policy_batched", spy)
+        lanes = spy_lanes(monkeypatch)
         run(small_spec(algorithm, batch_size=64))
         assert lanes == [algorithm.rstrip("V").lower()]
 
     def test_arm_never_takes_a_lane(self, monkeypatch):
-        monkeypatch.setattr(
-            JoinEngine, "_run_policy_batched",
-            lambda *a, **k: pytest.fail("ARM must stay per-tuple"),
-        )
+        forbid_lanes(monkeypatch, "ARM must stay per-tuple")
         run(small_spec("ARM", batch_size=64))
 
     def test_trace_forces_per_tuple(self, monkeypatch):
-        monkeypatch.setattr(
-            JoinEngine, "_run_policy_batched",
-            lambda *a, **k: pytest.fail("traced runs must stay per-tuple"),
-        )
+        forbid_lanes(monkeypatch, "traced runs must stay per-tuple")
         run(small_spec("PROB", batch_size=64, trace=True))
 
 
@@ -149,14 +162,7 @@ class TestStreamingPolicyLanes:
         assert fingerprint(batched) == fingerprint(baseline)
 
     def test_stream_lane_engages(self, monkeypatch):
-        lanes = []
-        original = JoinEngine._run_policy_stream
-
-        def spy(self, source, until, stop, kind):
-            lanes.append(kind)
-            return original(self, source, until, stop, kind)
-
-        monkeypatch.setattr(JoinEngine, "_run_policy_stream", spy)
+        lanes = spy_lanes(monkeypatch)
         source = ZipfSource(30, 1.0, seed=11, length=600)
         run(self._source_spec("PROB", source, batch_size=64))
         assert lanes == ["prob"]
@@ -165,10 +171,7 @@ class TestStreamingPolicyLanes:
         # An online estimator updates mid-stream, so no static table
         # exists to vectorize against: batch_size must quietly take the
         # per-tuple incremental path and change nothing.
-        monkeypatch.setattr(
-            JoinEngine, "_run_policy_stream",
-            lambda *a, **k: pytest.fail("estimator-fed runs must stay per-tuple"),
-        )
+        forbid_lanes(monkeypatch, "estimator-fed runs must stay per-tuple")
         source = ZipfSource(30, 1.0, seed=11, length=1200)
         baseline = run(self._source_spec("PROB", source, estimator="ewma"))
         batched = run(self._source_spec(
@@ -203,10 +206,7 @@ class TestStreamingPolicyLanes:
         # one arrival per side per tick, so the lane must not engage.
         from repro.streams.sources import PoissonSource
 
-        monkeypatch.setattr(
-            JoinEngine, "_run_policy_stream",
-            lambda *a, **k: pytest.fail("rated sources must stay per-tuple"),
-        )
+        forbid_lanes(monkeypatch, "rated sources must stay per-tuple")
         source = PoissonSource(30, 1.0, rate=0.7, seed=5, length=500)
         run(self._source_spec("PROB", source, batch_size=64))
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import EngineConfig, JoinEngine
-from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine, batches_from_pair
+from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.experiments import estimators_for
 from repro.experiments.runner import _policy_for, run_algorithm
 from repro.streams import StreamPair, exact_join_size, zipf_pair
+from repro.streams.sources import PairSource
 
 
 class TestWindowSchedule:
@@ -122,7 +123,7 @@ class TestLandmarkWindows:
             config,
             policy=SidePolicies(r=ProbPolicy(estimators), s=ProbPolicy(estimators)),
         )
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run_stream(PairSource(pair))
         assert result.output_count > 0
 
     def test_landmark_rejects_life(self):
