@@ -95,9 +95,13 @@ soak:
 bench-gate:
 	$(PYTHON) benchmarks/regression.py
 
-# Tier-1 gate: the full test-suite plus the benchmark snapshot.
+# Tier-1 gate, as CI runs it: the full test-suite, the repository
+# benchmark's tests (tiny traced and untraced runs of every workload —
+# they fail when a function the tracer wraps by name is renamed or
+# deleted), and the benchmark snapshot.
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest -q perfbench/tests
 	$(MAKE) bench-smoke
 
 # Regenerate every figure/table via the CLI at the chosen scale.

@@ -21,10 +21,9 @@ hot loop can drive per :class:`~repro.streams.batches.StreamChunk`:
   sequence bit-for-bit; if the installed numpy disagrees the lane falls
   back to scalar draws (identical decisions, smaller win);
 * **PROB's weakest resident** is a lazy min-heap of bare
-  ``(priority, arrival)`` tuples (``(priority, arrival, side)`` on a
-  shared pool) — the same total order as
+  ``(priority, arrival, side)`` tuples — the same total order as
   :class:`~repro.core.policies.prob.ProbPolicy`'s record heap, because
-  per-side arrival times are unique;
+  per-side arrival times are unique and R is admitted before S;
 * **LIFE's weakest-victim scan** walks a per-key aggregate view —
   ``key -> (arrival deque, partner probability)`` — so each distinct
   resident key costs one deque peek and one multiply, instead of the
@@ -33,13 +32,16 @@ hot loop can drive per :class:`~repro.streams.batches.StreamChunk`:
 Identity contract
 -----------------
 Every lane reproduces the engine's per-tuple loops (``_run_fast`` on
-pair input, the kernel loop on source input) bit-for-bit: output and
-total-output counts, the drop ledger, survival departures, and the
-sampled occupancy/share series.  The engine drives all three lanes
-through one driver, ``JoinEngine._run_policy_lanes``, fed by
-``encode_chunks(pair)`` or by source events re-chunked on the fly.  The load-bearing structural facts (all
-asserted by ``tests/test_policy_batched.py`` across policies × batch
-sizes × allocation modes):
+pair input, the kernel loop on source input) bit-for-bit, in both
+allocation modes — fixed (``M/2`` per side) and variable (one shared
+pool: RANDV/PROBV/LIFEV): output and total-output counts, the drop
+ledger, survival departures, and the sampled occupancy/share series.
+The engine drives all three lanes through one driver,
+``JoinEngine._run_policy_lanes``, fed by ``encode_chunks(pair)`` or by
+source events re-chunked on the fly.  The load-bearing structural facts
+(all asserted by ``tests/test_policy_batched.py`` and
+``tests/test_batched.py`` across policies × batch sizes × allocation
+modes):
 
 * the synchronous model admits one tuple per side per tick, so per-side
   arrival times are unique — ``(priority, arrival)`` is a total order
@@ -56,6 +58,24 @@ sizes × allocation modes):
   so a per-key arrival deque popped from the left mirrors the memory's
   per-key FIFO exactly.
 
+Each policy has one lane body for both modes, because the allocation
+mode changes exactly three things, and each body branches on exactly
+these:
+
+* **room** — a newcomer is admitted free while ``len(own) < M // 2``
+  (fixed) or ``len(r) + len(s) < M`` (pool);
+* **who competes** — the own side's residents (fixed) or the pool's, R
+  then S, in ``JoinMemory.eviction_candidates`` order: PROB keeps one
+  side-tagged heap per side or one shared heap, LIFE scans the own
+  cells or the R cells then the S cells, and RAND draws ``M // 2 + 1``
+  slots from the side's own generator or ``M + 1`` slots over R's then
+  S's from the one policy's generator;
+* **tie rule** — the full ``later_arrival_wins`` test (``wp < cp or
+  (wp == cp and wa < t)``) is exact in both modes.  On a pool the
+  weakest may be this tick's R tuple during the S contest (``wa ==
+  t``); on a fixed half the weakest always arrived before ``t``, so
+  the test reduces to ``wp <= cp``.
+
 Lanes are *gated*, not general: :func:`lane_kind_for_policies` accepts
 only exact policy types in their static configuration (RAND with the
 default newcomer-inclusive draw, PROB/LIFE with frozen
@@ -68,6 +88,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..streams.batches import HAVE_NUMPY, StreamChunk
@@ -226,6 +247,15 @@ def _block_draws_equivalent(bound: int) -> bool:
     return cached
 
 
+def _draws(rng, bound: int) -> Callable[[], int]:
+    """``next`` of an endless ``rng.integers(bound)`` draw sequence,
+    fetched in pre-drawn blocks when those are bit-equal to scalar
+    draws (one draw per fetch otherwise)."""
+    block = _DRAW_BLOCK if _block_draws_equivalent(bound) else 1
+    fetch = iter(lambda: rng.integers(bound, size=block).tolist(), None)
+    return chain.from_iterable(fetch).__next__
+
+
 def rand_chunk_run(
     chunks: Iterable[StreamChunk],
     window: int,
@@ -243,31 +273,19 @@ def rand_chunk_run(
 ) -> LaneTotals:
     """RAND over columnar chunks, bit-identical to the per-tuple run.
 
-    ``rng_r``/``rng_s`` are the *policy instances'* own generators (the
-    S one is ``None`` on a shared pool), so the lane consumes the same
-    draw sequence the per-tuple contests would.  Victim selection
-    replicates slot-index draws against a swap-remove slot array of
-    arrival times; keys resolve through a ``window``-sized ring.
+    ``rng_r``/``rng_s`` are the *policy instances'* own generators.  A
+    shared pool has one policy, so both sides draw from ``rng_r`` (and
+    ``rng_s`` is ignored) — the draw sequence the per-tuple contests
+    consume.  Victim selection replicates slot-index draws against a
+    swap-remove slot array of arrival times; keys resolve through a
+    ``window``-sized ring.
     """
-    if variable:
-        return _rand_variable(
-            chunks, window, warmup, capacity, count_simultaneous, rng_r,
-            r_departures, s_departures, sampler, sample_every,
-        )
-    return _rand_fixed(
-        chunks, window, warmup, capacity, count_simultaneous, rng_r, rng_s,
-        r_departures, s_departures, sampler, sample_every,
-    )
-
-
-def _rand_fixed(
-    chunks, window, warmup, capacity, count_sim, rng_r, rng_s,
-    r_departures, s_departures, sampler, sample_every,
-):
     half = capacity // 2
-    bound = half + 1  # residents (always exactly `half` in a contest) + newcomer
-    use_block = _block_draws_equivalent(bound)
-    block = _DRAW_BLOCK if use_block else 1
+    # A contest draws over the full residents — always `half` per side,
+    # or `capacity` on the pool, R's slots then S's — plus the newcomer.
+    newcomer = capacity if variable else half
+    draw_r = _draws(rng_r, newcomer + 1)
+    draw_s = draw_r if variable else _draws(rng_s, newcomer + 1)
 
     r_counts: dict = {}
     s_counts: dict = {}
@@ -277,10 +295,6 @@ def _rand_fixed(
     s_pos: list = [-1] * window
     r_slots: list = []  # slot index -> arrival, engine's swap-remove order
     s_slots: list = []
-    buf_r: list = []
-    buf_s: list = []
-    ir = len(buf_r)
-    is_ = len(buf_s)
 
     output = total_output = simultaneous_total = 0
     rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
@@ -335,7 +349,7 @@ def _rand_fixed(
 
             # 2. probes (before either same-tick admission).
             matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
+            if count_simultaneous and r_key == s_key:
                 matched += 1
                 simultaneous_total += 1
             total_output += matched
@@ -343,244 +357,111 @@ def _rand_fixed(
                 output += matched
 
             # 3. admissions: R first, then S.
-            if len(r_slots) < half:
+            if (
+                len(r_slots) + len(s_slots) < capacity if variable
+                else len(r_slots) < half
+            ):
                 r_pos[idx] = len(r_slots)
                 r_slots.append(t)
                 r_counts[r_key] = r_get(r_key, 0) + 1
             else:
-                if ir >= len(buf_r):
-                    buf_r = rng_r.integers(bound, size=block).tolist()
-                    ir = 0
-                victim = buf_r[ir]
-                ir += 1
-                if victim == half:  # the newcomer itself was drawn
+                victim = draw_r()
+                if victim == newcomer:  # the newcomer itself was drawn
                     rej_r += 1
                     if track:
                         r_departures[t] = t
                 else:
-                    arrival = r_slots[victim]
-                    vidx = arrival % window
-                    key = r_ring[vidx]
-                    last = r_slots[-1]
-                    r_slots[victim] = last
-                    r_pos[last % window] = victim
-                    r_slots.pop()
-                    r_pos[vidx] = -1
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
+                    # Always an R slot on a fixed half (victim < half).
+                    if victim < len(r_slots):
+                        arrival = r_slots[victim]
+                        vidx = arrival % window
+                        key = r_ring[vidx]
+                        last = r_slots[-1]
+                        r_slots[victim] = last
+                        r_pos[last % window] = victim
+                        r_slots.pop()
+                        r_pos[vidx] = -1
+                        remaining = r_counts[key] - 1
+                        if remaining:
+                            r_counts[key] = remaining
+                        else:
+                            del r_counts[key]
+                        ev_r += 1
+                        if track:
+                            r_departures[arrival] = t
                     else:
-                        del r_counts[key]
-                    ev_r += 1
-                    if track:
-                        r_departures[arrival] = t
+                        victim -= len(r_slots)
+                        arrival = s_slots[victim]
+                        vidx = arrival % window
+                        key = s_ring[vidx]
+                        last = s_slots[-1]
+                        s_slots[victim] = last
+                        s_pos[last % window] = victim
+                        s_slots.pop()
+                        s_pos[vidx] = -1
+                        remaining = s_counts[key] - 1
+                        if remaining:
+                            s_counts[key] = remaining
+                        else:
+                            del s_counts[key]
+                        ev_s += 1
+                        if track:
+                            s_departures[arrival] = t
                     r_pos[idx] = len(r_slots)
                     r_slots.append(t)
                     r_counts[r_key] = r_get(r_key, 0) + 1
 
-            if len(s_slots) < half:
+            if (
+                len(r_slots) + len(s_slots) < capacity if variable
+                else len(s_slots) < half
+            ):
                 s_pos[idx] = len(s_slots)
                 s_slots.append(t)
                 s_counts[s_key] = s_get(s_key, 0) + 1
             else:
-                if is_ >= len(buf_s):
-                    buf_s = rng_s.integers(bound, size=block).tolist()
-                    is_ = 0
-                victim = buf_s[is_]
-                is_ += 1
-                if victim == half:
+                victim = draw_s()
+                if victim == newcomer:
                     rej_s += 1
                     if track:
                         s_departures[t] = t
                 else:
-                    arrival = s_slots[victim]
-                    vidx = arrival % window
-                    key = s_ring[vidx]
-                    last = s_slots[-1]
-                    s_slots[victim] = last
-                    s_pos[last % window] = victim
-                    s_slots.pop()
-                    s_pos[vidx] = -1
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
+                    # On the pool the draw walks R's slots, then S's.
+                    r_span = len(r_slots) if variable else 0
+                    if victim < r_span:
+                        arrival = r_slots[victim]
+                        vidx = arrival % window
+                        key = r_ring[vidx]
+                        last = r_slots[-1]
+                        r_slots[victim] = last
+                        r_pos[last % window] = victim
+                        r_slots.pop()
+                        r_pos[vidx] = -1
+                        remaining = r_counts[key] - 1
+                        if remaining:
+                            r_counts[key] = remaining
+                        else:
+                            del r_counts[key]
+                        ev_r += 1
+                        if track:
+                            r_departures[arrival] = t
                     else:
-                        del s_counts[key]
-                    ev_s += 1
-                    if track:
-                        s_departures[arrival] = t
-                    s_pos[idx] = len(s_slots)
-                    s_slots.append(t)
-                    s_counts[s_key] = s_get(s_key, 0) + 1
-
-            if sample_every and not t % sample_every:
-                sampler(t, len(r_slots), len(s_slots))
-        length = base + chunk.length
-
-    return LaneTotals(
-        output, total_output, simultaneous_total, length,
-        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, len(r_slots), len(s_slots),
-    )
-
-
-def _rand_variable(
-    chunks, window, warmup, capacity, count_sim, rng,
-    r_departures, s_departures, sampler, sample_every,
-):
-    bound = capacity + 1  # pool residents (always `capacity` in a contest) + newcomer
-    use_block = _block_draws_equivalent(bound)
-    block = _DRAW_BLOCK if use_block else 1
-
-    r_counts: dict = {}
-    s_counts: dict = {}
-    r_ring: list = [None] * window
-    s_ring: list = [None] * window
-    r_pos: list = [-1] * window
-    s_pos: list = [-1] * window
-    r_slots: list = []
-    s_slots: list = []
-    buf: list = []
-    ib = 0
-
-    output = total_output = simultaneous_total = 0
-    rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
-    length = 0
-    track = r_departures is not None
-
-    r_get = r_counts.get
-    s_get = s_counts.get
-
-    def evict(index, now):
-        """Displace the pool resident at RAND's flattened slot index.
-
-        The draw walks R's slot array then S's — the order of
-        ``JoinMemory.eviction_candidates`` on a shared pool.
-        """
-        nonlocal ev_r, ev_s
-        if index < len(r_slots):
-            arrival = r_slots[index]
-            vidx = arrival % window
-            key = r_ring[vidx]
-            last = r_slots[-1]
-            r_slots[index] = last
-            r_pos[last % window] = index
-            r_slots.pop()
-            r_pos[vidx] = -1
-            remaining = r_counts[key] - 1
-            if remaining:
-                r_counts[key] = remaining
-            else:
-                del r_counts[key]
-            ev_r += 1
-            if track:
-                r_departures[arrival] = now
-        else:
-            index -= len(r_slots)
-            arrival = s_slots[index]
-            vidx = arrival % window
-            key = s_ring[vidx]
-            last = s_slots[-1]
-            s_slots[index] = last
-            s_pos[last % window] = index
-            s_slots.pop()
-            s_pos[vidx] = -1
-            remaining = s_counts[key] - 1
-            if remaining:
-                s_counts[key] = remaining
-            else:
-                del s_counts[key]
-            ev_s += 1
-            if track:
-                s_departures[arrival] = now
-
-    for chunk in chunks:
-        r_keys = chunk.r_list()
-        s_keys = chunk.s_list()
-        base = chunk.start
-        for i in range(chunk.length):
-            t = base + i
-            idx = t % window
-            if t >= window:
-                slot = r_pos[idx]
-                if slot >= 0:
-                    key = r_ring[idx]
-                    last = r_slots[-1]
-                    r_slots[slot] = last
-                    r_pos[last % window] = slot
-                    r_slots.pop()
-                    r_pos[idx] = -1
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
-                    else:
-                        del r_counts[key]
-                    exp_r += 1
-                slot = s_pos[idx]
-                if slot >= 0:
-                    key = s_ring[idx]
-                    last = s_slots[-1]
-                    s_slots[slot] = last
-                    s_pos[last % window] = slot
-                    s_slots.pop()
-                    s_pos[idx] = -1
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
-                    else:
-                        del s_counts[key]
-                    exp_s += 1
-
-            r_key = r_keys[i]
-            s_key = s_keys[i]
-            r_ring[idx] = r_key
-            s_ring[idx] = s_key
-
-            matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
-                matched += 1
-                simultaneous_total += 1
-            total_output += matched
-            if t >= warmup:
-                output += matched
-
-            # R admission against the shared pool.
-            if len(r_slots) + len(s_slots) < capacity:
-                r_pos[idx] = len(r_slots)
-                r_slots.append(t)
-                r_counts[r_key] = r_get(r_key, 0) + 1
-            else:
-                if ib >= len(buf):
-                    buf = rng.integers(bound, size=block).tolist()
-                    ib = 0
-                victim = buf[ib]
-                ib += 1
-                if victim == capacity:
-                    rej_r += 1
-                    if track:
-                        r_departures[t] = t
-                else:
-                    evict(victim, t)
-                    r_pos[idx] = len(r_slots)
-                    r_slots.append(t)
-                    r_counts[r_key] = r_get(r_key, 0) + 1
-
-            # S admission against the shared pool.
-            if len(r_slots) + len(s_slots) < capacity:
-                s_pos[idx] = len(s_slots)
-                s_slots.append(t)
-                s_counts[s_key] = s_get(s_key, 0) + 1
-            else:
-                if ib >= len(buf):
-                    buf = rng.integers(bound, size=block).tolist()
-                    ib = 0
-                victim = buf[ib]
-                ib += 1
-                if victim == capacity:
-                    rej_s += 1
-                    if track:
-                        s_departures[t] = t
-                else:
-                    evict(victim, t)
+                        victim -= r_span
+                        arrival = s_slots[victim]
+                        vidx = arrival % window
+                        key = s_ring[vidx]
+                        last = s_slots[-1]
+                        s_slots[victim] = last
+                        s_pos[last % window] = victim
+                        s_slots.pop()
+                        s_pos[vidx] = -1
+                        remaining = s_counts[key] - 1
+                        if remaining:
+                            s_counts[key] = remaining
+                        else:
+                            del s_counts[key]
+                        ev_s += 1
+                        if track:
+                            s_departures[arrival] = t
                     s_pos[idx] = len(s_slots)
                     s_slots.append(t)
                     s_counts[s_key] = s_get(s_key, 0) + 1
@@ -598,6 +479,15 @@ def _rand_variable(
 # ----------------------------------------------------------------------
 # PROB
 # ----------------------------------------------------------------------
+
+def _compact(heap: list, r_alive: set, s_alive: set) -> None:
+    """Drop a lazy PROB heap's stale entries, in place (a shared pool's
+    two sides alias one heap).  Live entries keep their total order, so
+    no later pop — and no decision — changes; this only bounds memory on
+    long streams."""
+    heap[:] = [e for e in heap if e[1] in (s_alive if e[2] else r_alive)]
+    heapq.heapify(heap)
+
 
 def prob_chunk_run(
     chunks: Iterable[StreamChunk],
@@ -619,25 +509,13 @@ def prob_chunk_run(
     ``probs_r``/``probs_s`` map a key to the *partner* probability of an
     R-side / S-side tuple carrying it (``p_S`` / ``p_R`` — the policies'
     static caches).  Candidate priorities are gathered per chunk; the
-    weakest resident comes from a lazy ``(priority, arrival)`` min-heap,
-    which orders exactly like ``ProbPolicy``'s record heap because
-    per-side arrivals are unique.
+    weakest resident comes from a lazy ``(priority, arrival, side)``
+    min-heap (R = 0, S = 1), one per side or one for the shared pool.
+    It orders exactly like ``ProbPolicy``'s record heap: per-side
+    arrivals are unique, and an equal ``(priority, arrival)`` pair on
+    the pool can only be one tick's R and S admissions, with R admitted
+    first — the order of the policy's sequence numbers.
     """
-    if variable:
-        return _prob_variable(
-            chunks, window, warmup, capacity, count_simultaneous,
-            probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-        )
-    return _prob_fixed(
-        chunks, window, warmup, capacity, count_simultaneous,
-        probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-    )
-
-
-def _prob_fixed(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
     half = capacity // 2
     dense_r = _dense_from_dict(probs_r)
     dense_s = _dense_from_dict(probs_s)
@@ -648,9 +526,11 @@ def _prob_fixed(
     s_ring: list = [None] * window
     r_alive: set = set()  # resident arrival times
     s_alive: set = set()
-    r_heap: list = []  # (partner probability, arrival); lazy deletions
-    s_heap: list = []
-    r_dead = s_dead = 0
+    r_heap: list = []  # (partner probability, arrival, side); lazy deletions
+    s_heap: list = r_heap if variable else []
+    # Stale entries come only from expiry; compacting past twice the
+    # live bound keeps that amortised O(1) per expiry.
+    heap_limit = 2 * (capacity if variable else half) + 128
 
     output = total_output = simultaneous_total = 0
     rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
@@ -661,6 +541,7 @@ def _prob_fixed(
     s_get = s_counts.get
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
 
     for chunk in chunks:
         r_keys = chunk.r_list()
@@ -682,15 +563,8 @@ def _prob_fixed(
                     else:
                         del r_counts[key]
                     exp_r += 1
-                    # The heap entry just went stale; compact like
-                    # ProbPolicy.on_remove (order-preserving, so
-                    # decisions are unaffected — this is purely a
-                    # memory bound for long streams).
-                    r_dead += 1
-                    if r_dead > 64 and 2 * r_dead > len(r_heap):
-                        r_heap = [e for e in r_heap if e[1] in r_alive]
-                        heapq.heapify(r_heap)
-                        r_dead = 0
+                    if len(r_heap) > heap_limit:
+                        _compact(r_heap, r_alive, s_alive)
                 if old in s_alive:
                     s_alive.remove(old)
                     key = s_ring[idx]
@@ -700,11 +574,8 @@ def _prob_fixed(
                     else:
                         del s_counts[key]
                     exp_s += 1
-                    s_dead += 1
-                    if s_dead > 64 and 2 * s_dead > len(s_heap):
-                        s_heap = [e for e in s_heap if e[1] in s_alive]
-                        heapq.heapify(s_heap)
-                        s_dead = 0
+                    if len(s_heap) > heap_limit:
+                        _compact(s_heap, r_alive, s_alive)
 
             r_key = r_keys[i]
             s_key = s_keys[i]
@@ -712,7 +583,7 @@ def _prob_fixed(
             s_ring[idx] = s_key
 
             matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
+            if count_simultaneous and r_key == s_key:
                 matched += 1
                 simultaneous_total += 1
             total_output += matched
@@ -721,33 +592,45 @@ def _prob_fixed(
 
             # R admission.
             cp = cp_r[i]
-            if len(r_alive) < half:
+            if (
+                len(r_alive) + len(s_alive) < capacity if variable
+                else len(r_alive) < half
+            ):
                 r_alive.add(t)
-                heappush(r_heap, (cp, t))
+                heappush(r_heap, (cp, t, 0))
                 r_counts[r_key] = r_get(r_key, 0) + 1
             else:
                 while True:
-                    wp, wa = r_heap[0]
-                    if wa in r_alive:
+                    wp, wa, ws = r_heap[0]
+                    if wa in (s_alive if ws else r_alive):
                         break
                     heappop(r_heap)
-                    r_dead -= 1
-                # later_arrival_wins(wp, wa, cp, t) with wa < t always
-                # (own side only, newcomer not yet inserted).
-                if wp <= cp:
-                    heappop(r_heap)
-                    r_alive.remove(wa)
-                    key = r_ring[wa % window]
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
+                # later_arrival_wins; wa < t always on a fixed half.
+                if wp < cp or (wp == cp and wa < t):
+                    heapreplace(r_heap, (cp, t, 0))
+                    if ws:
+                        s_alive.remove(wa)
+                        key = s_ring[wa % window]
+                        remaining = s_counts[key] - 1
+                        if remaining:
+                            s_counts[key] = remaining
+                        else:
+                            del s_counts[key]
+                        ev_s += 1
+                        if track:
+                            s_departures[wa] = t
                     else:
-                        del r_counts[key]
-                    ev_r += 1
-                    if track:
-                        r_departures[wa] = t
+                        r_alive.remove(wa)
+                        key = r_ring[wa % window]
+                        remaining = r_counts[key] - 1
+                        if remaining:
+                            r_counts[key] = remaining
+                        else:
+                            del r_counts[key]
+                        ev_r += 1
+                        if track:
+                            r_departures[wa] = t
                     r_alive.add(t)
-                    heappush(r_heap, (cp, t))
                     r_counts[r_key] = r_get(r_key, 0) + 1
                 else:
                     rej_r += 1
@@ -756,158 +639,23 @@ def _prob_fixed(
 
             # S admission.
             cp = cp_s[i]
-            if len(s_alive) < half:
+            if (
+                len(r_alive) + len(s_alive) < capacity if variable
+                else len(s_alive) < half
+            ):
                 s_alive.add(t)
-                heappush(s_heap, (cp, t))
+                heappush(s_heap, (cp, t, 1))
                 s_counts[s_key] = s_get(s_key, 0) + 1
             else:
                 while True:
-                    wp, wa = s_heap[0]
-                    if wa in s_alive:
+                    wp, wa, ws = s_heap[0]
+                    if wa in (s_alive if ws else r_alive):
                         break
                     heappop(s_heap)
-                    s_dead -= 1
-                if wp <= cp:
-                    heappop(s_heap)
-                    s_alive.remove(wa)
-                    key = s_ring[wa % window]
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
-                    else:
-                        del s_counts[key]
-                    ev_s += 1
-                    if track:
-                        s_departures[wa] = t
-                    s_alive.add(t)
-                    heappush(s_heap, (cp, t))
-                    s_counts[s_key] = s_get(s_key, 0) + 1
-                else:
-                    rej_s += 1
-                    if track:
-                        s_departures[t] = t
-
-            if sample_every and not t % sample_every:
-                sampler(t, len(r_alive), len(s_alive))
-        length = base + chunk.length
-
-    return LaneTotals(
-        output, total_output, simultaneous_total, length,
-        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, len(r_alive), len(s_alive),
-    )
-
-
-def _prob_variable(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
-    dense_r = _dense_from_dict(probs_r)
-    dense_s = _dense_from_dict(probs_s)
-
-    r_counts: dict = {}
-    s_counts: dict = {}
-    r_ring: list = [None] * window
-    s_ring: list = [None] * window
-    r_alive: set = set()
-    s_alive: set = set()
-    # One heap for the shared pool: (priority, arrival, side) with R=0 /
-    # S=1 — the same pop order as ProbPolicy's sequence numbers, because
-    # an equal (priority, arrival) pair can only be the same tick's R
-    # and S admissions, and R is admitted first.
-    heap: list = []
-    dead = 0
-
-    output = total_output = simultaneous_total = 0
-    rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
-    length = 0
-    track = r_departures is not None
-
-    r_get = r_counts.get
-    s_get = s_counts.get
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    for chunk in chunks:
-        r_keys = chunk.r_list()
-        s_keys = chunk.s_list()
-        cp_r = _prob_column(chunk.r_keys, r_keys, dense_r, probs_r)
-        cp_s = _prob_column(chunk.s_keys, s_keys, dense_s, probs_s)
-        base = chunk.start
-        for i in range(chunk.length):
-            t = base + i
-            idx = t % window
-            if t >= window:
-                old = t - window
-                if old in r_alive:
-                    r_alive.remove(old)
-                    key = r_ring[idx]
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
-                    else:
-                        del r_counts[key]
-                    exp_r += 1
-                    dead += 1
-                if old in s_alive:
-                    s_alive.remove(old)
-                    key = s_ring[idx]
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
-                    else:
-                        del s_counts[key]
-                    exp_s += 1
-                    dead += 1
-                if dead > 64 and 2 * dead > len(heap):
-                    heap = [
-                        e for e in heap
-                        if e[1] in (r_alive if e[2] == 0 else s_alive)
-                    ]
-                    heapq.heapify(heap)
-                    dead = 0
-
-            r_key = r_keys[i]
-            s_key = s_keys[i]
-            r_ring[idx] = r_key
-            s_ring[idx] = s_key
-
-            matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
-                matched += 1
-                simultaneous_total += 1
-            total_output += matched
-            if t >= warmup:
-                output += matched
-
-            # R admission against the shared pool.
-            cp = cp_r[i]
-            if len(r_alive) + len(s_alive) < capacity:
-                r_alive.add(t)
-                heappush(heap, (cp, t, 0))
-                r_counts[r_key] = r_get(r_key, 0) + 1
-            else:
-                while True:
-                    wp, wa, wside = heap[0]
-                    if wa in (r_alive if wside == 0 else s_alive):
-                        break
-                    heappop(heap)
-                    dead -= 1
-                # Full later_arrival_wins: the weakest may share the
-                # newcomer's tick (this tick's R during the S contest).
+                # On the pool the weakest may be this tick's R (wa == t).
                 if wp < cp or (wp == cp and wa < t):
-                    heappop(heap)
-                    if wside == 0:
-                        r_alive.remove(wa)
-                        key = r_ring[wa % window]
-                        remaining = r_counts[key] - 1
-                        if remaining:
-                            r_counts[key] = remaining
-                        else:
-                            del r_counts[key]
-                        ev_r += 1
-                        if track:
-                            r_departures[wa] = t
-                    else:
+                    heapreplace(s_heap, (cp, t, 1))
+                    if ws:
                         s_alive.remove(wa)
                         key = s_ring[wa % window]
                         remaining = s_counts[key] - 1
@@ -918,30 +666,7 @@ def _prob_variable(
                         ev_s += 1
                         if track:
                             s_departures[wa] = t
-                    r_alive.add(t)
-                    heappush(heap, (cp, t, 0))
-                    r_counts[r_key] = r_get(r_key, 0) + 1
-                else:
-                    rej_r += 1
-                    if track:
-                        r_departures[t] = t
-
-            # S admission against the shared pool.
-            cp = cp_s[i]
-            if len(r_alive) + len(s_alive) < capacity:
-                s_alive.add(t)
-                heappush(heap, (cp, t, 1))
-                s_counts[s_key] = s_get(s_key, 0) + 1
-            else:
-                while True:
-                    wp, wa, wside = heap[0]
-                    if wa in (r_alive if wside == 0 else s_alive):
-                        break
-                    heappop(heap)
-                    dead -= 1
-                if wp < cp or (wp == cp and wa < t):
-                    heappop(heap)
-                    if wside == 0:
+                    else:
                         r_alive.remove(wa)
                         key = r_ring[wa % window]
                         remaining = r_counts[key] - 1
@@ -952,19 +677,7 @@ def _prob_variable(
                         ev_r += 1
                         if track:
                             r_departures[wa] = t
-                    else:
-                        s_alive.remove(wa)
-                        key = s_ring[wa % window]
-                        remaining = s_counts[key] - 1
-                        if remaining:
-                            s_counts[key] = remaining
-                        else:
-                            del s_counts[key]
-                        ev_s += 1
-                        if track:
-                            s_departures[wa] = t
                     s_alive.add(t)
-                    heappush(heap, (cp, t, 1))
                     s_counts[s_key] = s_get(s_key, 0) + 1
                 else:
                     rej_s += 1
@@ -1010,22 +723,8 @@ def life_chunk_run(
     per-chunk candidate column is ``window * p`` gathered from the same
     tables, so every contest decides exactly as the per-tuple policy.
     """
-    if variable:
-        return _life_variable(
-            chunks, window, warmup, capacity, count_simultaneous,
-            probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-        )
-    return _life_fixed(
-        chunks, window, warmup, capacity, count_simultaneous,
-        probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-    )
-
-
-def _life_fixed(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
     half = capacity // 2
+    inf = float("inf")
     dense_r = _dense_from_dict(probs_r)
     dense_s = _dense_from_dict(probs_s)
     cand_dense_r = dense_r * window if dense_r is not None else None
@@ -1089,7 +788,7 @@ def _life_fixed(
             cell = r_cells.get(s_key)
             if cell is not None:
                 matched += len(cell[0])
-            if count_sim and r_key == s_key:
+            if count_simultaneous and r_key == s_key:
                 matched += 1
                 simultaneous_total += 1
             total_output += matched
@@ -1097,7 +796,7 @@ def _life_fixed(
                 output += matched
 
             # R admission.
-            if r_len < half:
+            if r_len + s_len < capacity if variable else r_len < half:
                 cell = r_cells.get(r_key)
                 if cell is None:
                     r_cells[r_key] = (deque((t,)), p_r[i])
@@ -1106,33 +805,53 @@ def _life_fixed(
                 r_len += 1
             else:
                 # Weakest-victim scan: once per contest, one deque peek
-                # and one multiply per distinct resident key.  First-
-                # seen wins exact ties, but per-side arrivals are
-                # unique, so (priority, arrival) never ties and scan
-                # order is immaterial.
+                # and one multiply per distinct resident key.  The R
+                # cells come first, then (on a pool) the S cells — the
+                # fold order of LifePolicy._weakest over
+                # eviction_candidates, so a cross-side (priority,
+                # arrival) tie keeps the R contender.
                 offset = window - t
+                best_side = 0
                 best_key = None
                 best_a = -1
-                best_pri = 0.0
+                best_pri = inf  # any resident's finite priority beats it
                 for key, cell in r_cells.items():
                     a0 = cell[0][0]
                     pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
+                    if pri < best_pri or (pri == best_pri and a0 < best_a):
                         best_key = key
                         best_a = a0
                         best_pri = pri
-                # later_arrival_wins(best_pri, best_a, cand, t) with
-                # best_a < t always (own side only).
-                if best_pri <= candp_r[i]:
-                    dq = r_cells[best_key][0]
-                    dq.popleft()
-                    if not dq:
-                        del r_cells[best_key]
-                    ev_r += 1
-                    if track:
-                        r_departures[best_a] = t
+                if variable:
+                    for key, cell in s_cells.items():
+                        a0 = cell[0][0]
+                        pri = (a0 + offset) * cell[1]
+                        if pri < best_pri or (pri == best_pri and a0 < best_a):
+                            best_side = 1
+                            best_key = key
+                            best_a = a0
+                            best_pri = pri
+                cand = candp_r[i]
+                # later_arrival_wins; best_a < t always on a fixed half.
+                if best_pri < cand or (best_pri == cand and best_a < t):
+                    if best_side:
+                        dq = s_cells[best_key][0]
+                        dq.popleft()
+                        if not dq:
+                            del s_cells[best_key]
+                        ev_s += 1
+                        s_len -= 1
+                        r_len += 1
+                        if track:
+                            s_departures[best_a] = t
+                    else:
+                        dq = r_cells[best_key][0]
+                        dq.popleft()
+                        if not dq:
+                            del r_cells[best_key]
+                        ev_r += 1
+                        if track:
+                            r_departures[best_a] = t
                     cell = r_cells.get(r_key)
                     if cell is None:
                         r_cells[r_key] = (deque((t,)), p_r[i])
@@ -1144,195 +863,7 @@ def _life_fixed(
                         r_departures[t] = t
 
             # S admission.
-            if s_len < half:
-                cell = s_cells.get(s_key)
-                if cell is None:
-                    s_cells[s_key] = (deque((t,)), p_s[i])
-                else:
-                    cell[0].append(t)
-                s_len += 1
-            else:
-                offset = window - t
-                best_key = None
-                best_a = -1
-                best_pri = 0.0
-                for key, cell in s_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                if best_pri <= candp_s[i]:
-                    dq = s_cells[best_key][0]
-                    dq.popleft()
-                    if not dq:
-                        del s_cells[best_key]
-                    ev_s += 1
-                    if track:
-                        s_departures[best_a] = t
-                    cell = s_cells.get(s_key)
-                    if cell is None:
-                        s_cells[s_key] = (deque((t,)), p_s[i])
-                    else:
-                        cell[0].append(t)
-                else:
-                    rej_s += 1
-                    if track:
-                        s_departures[t] = t
-
-            if sample_every and not t % sample_every:
-                sampler(t, r_len, s_len)
-        length = base + chunk.length
-
-    return LaneTotals(
-        output, total_output, simultaneous_total, length,
-        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, r_len, s_len,
-    )
-
-
-def _life_variable(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
-    dense_r = _dense_from_dict(probs_r)
-    dense_s = _dense_from_dict(probs_s)
-    cand_dense_r = dense_r * window if dense_r is not None else None
-    cand_dense_s = dense_s * window if dense_s is not None else None
-    cand_probs_r = {key: window * p for key, p in probs_r.items()}
-    cand_probs_s = {key: window * p for key, p in probs_s.items()}
-
-    r_cells: dict = {}
-    s_cells: dict = {}
-    r_ring: list = [None] * window
-    s_ring: list = [None] * window
-    r_len = s_len = 0
-
-    output = total_output = simultaneous_total = 0
-    rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
-    length = 0
-    track = r_departures is not None
-
-    for chunk in chunks:
-        r_keys = chunk.r_list()
-        s_keys = chunk.s_list()
-        p_r = _prob_column(chunk.r_keys, r_keys, dense_r, probs_r)
-        p_s = _prob_column(chunk.s_keys, s_keys, dense_s, probs_s)
-        candp_r = _prob_column(chunk.r_keys, r_keys, cand_dense_r, cand_probs_r)
-        candp_s = _prob_column(chunk.s_keys, s_keys, cand_dense_s, cand_probs_s)
-        base = chunk.start
-        for i in range(chunk.length):
-            t = base + i
-            idx = t % window
-            if t >= window:
-                old = t - window
-                key = r_ring[idx]
-                cell = r_cells.get(key)
-                if cell is not None and cell[0][0] == old:
-                    dq = cell[0]
-                    dq.popleft()
-                    if not dq:
-                        del r_cells[key]
-                    exp_r += 1
-                    r_len -= 1
-                key = s_ring[idx]
-                cell = s_cells.get(key)
-                if cell is not None and cell[0][0] == old:
-                    dq = cell[0]
-                    dq.popleft()
-                    if not dq:
-                        del s_cells[key]
-                    exp_s += 1
-                    s_len -= 1
-
-            r_key = r_keys[i]
-            s_key = s_keys[i]
-            r_ring[idx] = r_key
-            s_ring[idx] = s_key
-
-            cell = s_cells.get(r_key)
-            matched = len(cell[0]) if cell is not None else 0
-            cell = r_cells.get(s_key)
-            if cell is not None:
-                matched += len(cell[0])
-            if count_sim and r_key == s_key:
-                matched += 1
-                simultaneous_total += 1
-            total_output += matched
-            if t >= warmup:
-                output += matched
-
-            # R admission against the shared pool.
-            if r_len + s_len < capacity:
-                cell = r_cells.get(r_key)
-                if cell is None:
-                    r_cells[r_key] = (deque((t,)), p_r[i])
-                else:
-                    cell[0].append(t)
-                r_len += 1
-            else:
-                # Pool-wide scan, R cells first then S — the fold order
-                # of LifePolicy._weakest over eviction_candidates; a
-                # cross-side (priority, arrival) tie keeps the R
-                # contender, exactly as the sequential fold does.
-                offset = window - t
-                best_side = 0
-                best_key = None
-                best_a = -1
-                best_pri = 0.0
-                for key, cell in r_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                for key, cell in s_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_side = 1
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                cand = candp_r[i]
-                # Full later_arrival_wins: the weakest may share the
-                # newcomer's tick (this tick's R during the S contest).
-                if best_pri < cand or (best_pri == cand and best_a < t):
-                    cells = r_cells if best_side == 0 else s_cells
-                    dq = cells[best_key][0]
-                    dq.popleft()
-                    if not dq:
-                        del cells[best_key]
-                    if best_side == 0:
-                        ev_r += 1
-                        r_len -= 1
-                        if track:
-                            r_departures[best_a] = t
-                    else:
-                        ev_s += 1
-                        s_len -= 1
-                        if track:
-                            s_departures[best_a] = t
-                    cell = r_cells.get(r_key)
-                    if cell is None:
-                        r_cells[r_key] = (deque((t,)), p_r[i])
-                    else:
-                        cell[0].append(t)
-                    r_len += 1
-                else:
-                    rej_r += 1
-                    if track:
-                        r_departures[t] = t
-
-            # S admission against the shared pool.
-            if r_len + s_len < capacity:
+            if r_len + s_len < capacity if variable else s_len < half:
                 cell = s_cells.get(s_key)
                 if cell is None:
                     s_cells[s_key] = (deque((t,)), p_s[i])
@@ -1344,49 +875,49 @@ def _life_variable(
                 best_side = 0
                 best_key = None
                 best_a = -1
-                best_pri = 0.0
-                for key, cell in r_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
+                best_pri = inf  # any resident's finite priority beats it
+                if variable:
+                    for key, cell in r_cells.items():
+                        a0 = cell[0][0]
+                        pri = (a0 + offset) * cell[1]
+                        if pri < best_pri or (pri == best_pri and a0 < best_a):
+                            best_key = key
+                            best_a = a0
+                            best_pri = pri
                 for key, cell in s_cells.items():
                     a0 = cell[0][0]
                     pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
+                    if pri < best_pri or (pri == best_pri and a0 < best_a):
                         best_side = 1
                         best_key = key
                         best_a = a0
                         best_pri = pri
                 cand = candp_s[i]
+                # On the pool the weakest may be this tick's R (best_a == t).
                 if best_pri < cand or (best_pri == cand and best_a < t):
-                    cells = r_cells if best_side == 0 else s_cells
-                    dq = cells[best_key][0]
-                    dq.popleft()
-                    if not dq:
-                        del cells[best_key]
-                    if best_side == 0:
-                        ev_r += 1
-                        r_len -= 1
-                        if track:
-                            r_departures[best_a] = t
-                    else:
+                    if best_side:
+                        dq = s_cells[best_key][0]
+                        dq.popleft()
+                        if not dq:
+                            del s_cells[best_key]
                         ev_s += 1
-                        s_len -= 1
                         if track:
                             s_departures[best_a] = t
+                    else:
+                        dq = r_cells[best_key][0]
+                        dq.popleft()
+                        if not dq:
+                            del r_cells[best_key]
+                        ev_r += 1
+                        r_len -= 1
+                        s_len += 1
+                        if track:
+                            r_departures[best_a] = t
                     cell = s_cells.get(s_key)
                     if cell is None:
                         s_cells[s_key] = (deque((t,)), p_s[i])
                     else:
                         cell[0].append(t)
-                    s_len += 1
                 else:
                     rej_s += 1
                     if track:

@@ -789,7 +789,7 @@ class JoinEngine:
                 window,
                 config.warmup,
                 rng_r=self._policy_r._rng,
-                rng_s=None if memory.variable else self._policy_s._rng,
+                rng_s=self._policy_s._rng,
                 **common,
             )
         else:
@@ -822,6 +822,10 @@ class JoinEngine:
         ``events`` is already bounded (see
         :func:`~repro.streams.sources.bounded_events`), so the chunks
         cover exactly the ticks the kernel loop would process.
+
+        Raises ``ValueError`` on a tick without exactly one arrival per
+        side: the source broke its ``unit_rate`` declaration, and a
+        chunk column has no room for the extra (or missing) arrival.
         """
         from ..streams.batches import StreamChunk, _encode_column
 
@@ -830,8 +834,19 @@ class JoinEngine:
         start = 0
         t = 0
         for r_batch, s_batch in events:
-            buf_r.append(r_batch[0])
-            buf_s.append(s_batch[0])
+            try:
+                (r_key,) = r_batch
+                (s_key,) = s_batch
+            except ValueError:
+                bad_r = len(r_batch) != 1
+                side, batch = ("R", r_batch) if bad_r else ("S", s_batch)
+                raise ValueError(
+                    f"source declares unit_rate but tick {t} carries "
+                    f"{len(batch)} {side} arrivals (expected exactly one "
+                    f"per side)"
+                ) from None
+            buf_r.append(r_key)
+            buf_s.append(s_key)
             t += 1
             if len(buf_r) >= batch_size:
                 yield StreamChunk(start, _encode_column(buf_r), _encode_column(buf_s))

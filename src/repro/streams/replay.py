@@ -74,6 +74,44 @@ def load_pair(path: Union[str, Path], *, key_type=int, name: str = "") -> Stream
     return StreamPair(r=r_keys, s=s_keys, name=name or path.stem)
 
 
+def _jsonl_record(path: Path, lineno: int, line: str) -> dict:
+    """Parse line ``lineno`` (1-based) of a JSONL recording.
+
+    A truncated or corrupt record raises ``ValueError`` naming the file
+    and the line, instead of a bare decoder message.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: line {lineno}: malformed JSON record ({exc.msg}, "
+            f"column {exc.colno}); is the file truncated?"
+        ) from exc
+    if not isinstance(record, dict):
+        raise ValueError(
+            f"{path}: line {lineno}: expected a JSON object, "
+            f"got {type(record).__name__}"
+        )
+    return record
+
+
+def _jsonl_header(path: Path, first: str) -> dict:
+    """Validate a JSONL recording's first line (format and version)."""
+    if not first:
+        raise ValueError(f"{path}: empty replay file")
+    header = _jsonl_record(path, 1, first)
+    if header.get("format") != JSONL_FORMAT:
+        raise ValueError(
+            f"{path}: expected format {JSONL_FORMAT!r}, got {header.get('format')!r}"
+        )
+    if header.get("version") != JSONL_VERSION:
+        raise ValueError(
+            f"{path}: unsupported replay version {header.get('version')!r} "
+            f"(supported: {JSONL_VERSION})"
+        )
+    return header
+
+
 def save_pair_jsonl(pair: StreamPair, path: Union[str, Path]) -> None:
     """Write a stream pair to the versioned JSONL recording format.
 
@@ -104,31 +142,21 @@ def load_pair_jsonl(
     ------
     ValueError
         On a missing/foreign header, an unsupported version, a
-        non-contiguous tick column, or ticks carrying anything other
-        than one arrival per side (pairs are synchronous by definition;
-        bursty recordings replay through ``ReplaySource`` instead).
+        truncated or corrupt record (the message names the file and the
+        1-based line), a non-contiguous tick column, or ticks carrying
+        anything other than one arrival per side (pairs are synchronous
+        by definition; bursty recordings replay through
+        ``ReplaySource`` instead).
     """
     path = Path(path)
     r_keys = []
     s_keys = []
     with path.open() as handle:
-        first = handle.readline()
-        if not first:
-            raise ValueError(f"{path}: empty replay file")
-        header = json.loads(first)
-        if header.get("format") != JSONL_FORMAT:
-            raise ValueError(
-                f"{path}: expected format {JSONL_FORMAT!r}, got {header.get('format')!r}"
-            )
-        if header.get("version") != JSONL_VERSION:
-            raise ValueError(
-                f"{path}: unsupported replay version {header.get('version')!r} "
-                f"(supported: {JSONL_VERSION})"
-            )
+        header = _jsonl_header(path, handle.readline())
         for expected_tick, line in enumerate(handle):
             if not line.strip():
                 continue
-            event = json.loads(line)
+            event = _jsonl_record(path, expected_tick + 2, line)
             if event.get("t") != expected_tick:
                 raise ValueError(
                     f"{path}: tick column must be contiguous from 0, "

@@ -24,7 +24,6 @@ are unbounded unless given an explicit ``length``, and
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from pathlib import Path
 from typing import (
@@ -42,7 +41,7 @@ import numpy as np
 
 from .arrival import poisson_schedule
 from .generators import _permutations_for
-from .replay import JSONL_FORMAT, JSONL_VERSION, load_pair
+from .replay import _jsonl_header, _jsonl_record, load_pair
 from .tuples import StreamPair
 from .zipf import ZipfDistribution
 
@@ -382,21 +381,7 @@ class ReplaySource:
         if self.path.suffix == ".csv":
             return {"format": "csv", "length": None}
         with self.path.open() as handle:
-            first = handle.readline()
-        if not first:
-            raise ValueError(f"{self.path}: empty replay file")
-        header = json.loads(first)
-        if header.get("format") != JSONL_FORMAT:
-            raise ValueError(
-                f"{self.path}: expected format {JSONL_FORMAT!r}, "
-                f"got {header.get('format')!r}"
-            )
-        if header.get("version") != JSONL_VERSION:
-            raise ValueError(
-                f"{self.path}: unsupported replay version {header.get('version')!r} "
-                f"(supported: {JSONL_VERSION})"
-            )
-        return header
+            return _jsonl_header(self.path, handle.readline())
 
     @property
     def length(self) -> Optional[int]:
@@ -416,7 +401,7 @@ class ReplaySource:
             for expected_tick, line in enumerate(handle):
                 if not line.strip():
                     continue
-                event = json.loads(line)
+                event = _jsonl_record(self.path, expected_tick + 2, line)
                 if event.get("t") != expected_tick:
                     raise ValueError(
                         f"{self.path}: tick column must be contiguous from 0, "

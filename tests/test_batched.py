@@ -316,16 +316,41 @@ class TestBatchSizeValidation:
 
 BATCH_SIZES = (1, 7, 64, SMALL["length"])  # whole-stream last
 POLICIES = ("EXACT", "RAND", "RANDV", "PROB", "PROBV", "LIFE", "LIFEV", "ARM")
+LANE_POLICIES = ("RAND", "RANDV", "PROB", "PROBV", "LIFE", "LIFEV")
+#: Correlated streams share one key ranking, so PROB/LIFE priorities tie
+#: across sides — including, on a shared pool, this tick's R tuple as
+#: the weakest resident of this tick's S contest, the one place where
+#: the full later-arrival tie rule differs from ``<=`` (seed 2 reaches
+#: it on both PROBV and LIFEV).
+CORRELATED = dict(correlation="correlated", seed=2)
+#: Without numpy the policy lanes gather priorities per key from the
+#: dicts and RAND draws one scalar at a time.
+NO_NUMPY = None
+IDENTITY_INPUTS = (
+    [pytest.param(a, {}, id=a) for a in POLICIES]
+    + [pytest.param(a, CORRELATED, id=f"{a}-correlated") for a in POLICIES]
+    + [pytest.param(a, NO_NUMPY, id=f"{a}-no-numpy") for a in LANE_POLICIES]
+)
 
 
 class TestBatchedIdentity:
     """Batched output is bit-identical to per-tuple for every policy."""
 
-    @pytest.mark.parametrize("algorithm", POLICIES)
+    @pytest.mark.parametrize("algorithm, inputs", IDENTITY_INPUTS)
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_unsharded_identity(self, algorithm, batch_size):
-        baseline = run(small_spec(algorithm, metrics=True))
-        batched = run(small_spec(algorithm, metrics=True, batch_size=batch_size))
+    def test_unsharded_identity(self, algorithm, inputs, batch_size, monkeypatch):
+        if inputs is NO_NUMPY:
+            import repro.core.batched_policies as lanes
+            import repro.streams.batches as batches
+
+            monkeypatch.setattr(lanes, "HAVE_NUMPY", False)
+            monkeypatch.setattr(batches, "HAVE_NUMPY", False)
+            assert not lanes._block_draws_equivalent(SMALL["memory"] + 1)
+            inputs = {}
+        baseline = run(small_spec(algorithm, metrics=True, **inputs))
+        batched = run(small_spec(
+            algorithm, metrics=True, batch_size=batch_size, **inputs
+        ))
         assert batched.output_count == baseline.output_count
         assert batched.total_output_count == baseline.total_output_count
         assert batched.drop_counts == baseline.drop_counts

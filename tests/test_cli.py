@@ -490,6 +490,23 @@ class TestServeCommand:
         assert code == 2
         assert "online" in capsys.readouterr().err
 
+    def test_truncated_replay_exits_2_naming_the_file(self, capsys, tmp_path):
+        from repro.streams.generators import zipf_pair
+        from repro.streams.replay import save_pair_jsonl
+
+        path = tmp_path / "traffic.jsonl"
+        save_pair_jsonl(zipf_pair(100, 10, 1.0, seed=3), path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])  # cut mid-record
+        code = main(
+            ["serve", "--source", "replay", "--replay", str(path),
+             "--window", "20", "--memory", "10", "--estimator", "countmin"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line " in err
+        assert "malformed JSON record" in err
+
     def test_replay_requires_a_path(self, capsys):
         code = main(["serve", "--source", "replay"])
         assert code == 2

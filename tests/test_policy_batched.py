@@ -201,6 +201,22 @@ class TestStreamingPolicyLanes:
         short, long = peak(3000), peak(12000)
         assert long < 2 * short, (short, long)
 
+    @pytest.mark.parametrize("algorithm", ("RAND", "PROB", "LIFE"))
+    def test_bursting_unit_rate_source_is_refused(self, algorithm):
+        # A source that declares unit_rate but bursts would lose its
+        # extra arrivals in the one-key-per-tick chunk columns; the lane
+        # must name the offending tick and side instead.
+        class BurstySource(ZipfSource):  # keeps unit_rate and the oracle
+            def __iter__(self):
+                for t, (r_batch, s_batch) in enumerate(super().__iter__()):
+                    yield (r_batch * 2 if t % 5 == 4 else r_batch), s_batch
+
+        source = BurstySource(30, 1.0, seed=11, length=200)
+        assert source.unit_rate
+        spec = self._source_spec(algorithm, source, batch_size=64)
+        with pytest.raises(ValueError, match="tick 4 carries 2 R arrivals"):
+            run(spec)
+
     def test_non_unit_rate_source_stays_per_tuple(self, monkeypatch):
         # Poisson rates produce multi-tuple ticks; the chunk encoding is
         # one arrival per side per tick, so the lane must not engage.

@@ -264,6 +264,37 @@ class TestReplayJsonl:
         with pytest.raises(ValueError, match="contiguous"):
             events_of(ReplaySource(path))
 
+    def test_truncated_record_names_file_and_line(self, tmp_path):
+        # A recording cut mid-record: the error must say which file and
+        # which line, not just the decoder's column offset.
+        path = tmp_path / "cut.jsonl"
+        save_pair_jsonl(zipf_pair(10, 5, 1.0, seed=1), path)
+        text = path.read_text()
+        cut = text.index("\n", text.index('"t": 3')) - 4  # inside line 5
+        path.write_text(text[:cut])
+        source = ReplaySource(path)  # the header is intact
+        with pytest.raises(ValueError, match=r"cut\.jsonl: line 5: malformed"):
+            events_of(source)
+        with pytest.raises(ValueError, match=r"cut\.jsonl: line 5: malformed"):
+            load_pair_jsonl(path)
+
+    def test_corrupt_header_names_file_and_line(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"format": "repro.str')
+        with pytest.raises(ValueError, match=r"torn\.jsonl: line 1: malformed"):
+            ReplaySource(path)
+        with pytest.raises(ValueError, match=r"torn\.jsonl: line 1: malformed"):
+            load_pair_jsonl(path)
+
+    def test_non_object_record_is_rejected(self, tmp_path):
+        path = tmp_path / "odd.jsonl"
+        header = {"format": JSONL_FORMAT, "version": JSONL_VERSION, "length": 2}
+        path.write_text(json.dumps(header) + "\n" + '{"t": 0, "r": [1], "s": [1]}\n7\n')
+        with pytest.raises(ValueError, match="line 3: expected a JSON object"):
+            events_of(ReplaySource(path))
+        with pytest.raises(ValueError, match="line 3: expected a JSON object"):
+            load_pair_jsonl(path)
+
     def test_csv_recordings_replay_too(self, tmp_path):
         pair = zipf_pair(25, 6, 1.0, seed=4)
         path = tmp_path / "rec.csv"
