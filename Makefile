@@ -74,7 +74,8 @@ bench-all:
 	$(PYTHON) benchmarks/bench_all.py
 
 # Bounded-memory soak -> BENCH_soak.json (committed): 2M+ ticks from an
-# unbounded zipf source through the streaming EXACT lane plus 200k
+# unbounded zipf source through the per-tick EXACT lane and again
+# through the batched EXACT chunk lane (same output required), plus 200k
 # through the full PROB+EWMA engine path, with tracemalloc asserting
 # that live memory stays flat — bounded by the window/budget, never by
 # stream length.  Override the tick budgets with SOAK_TICKS /

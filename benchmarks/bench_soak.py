@@ -3,12 +3,17 @@
 The source refactor's claim is that the engine stack can consume an
 *unbounded* stream in memory bounded by the window/budget — never by
 stream length.  This soak drives millions of ticks from an unbounded
-generator source through the two incremental lanes and asserts, with
+generator source through the incremental lanes and asserts, with
 ``tracemalloc`` telling the truth, that live memory is **flat**:
 
 * the streaming EXACT lane (``repro.core.batched.exact_stream_counts``
   — two count dicts plus two expiry deques) over ``--ticks`` ticks
   (default 2,000,000);
+* the batched EXACT chunk lane (``JoinEngine.run_stream`` with
+  ``batch_size`` — ``exact_chunk_counts`` over the source re-chunked on
+  the fly, with a window-bounded key history) over the same ``--ticks``
+  of the same source, which must also reproduce the streaming lane's
+  output exactly;
 * the full policy engine path (``JoinEngine.run_stream`` running PROB
   with a live EWMA estimator) over ``--policy-ticks`` ticks (default
   200,000) — the per-tuple kernel, policy heap, and online statistics
@@ -48,6 +53,8 @@ except ImportError:  # running from a checkout without `make install`
 
 from repro.api import RunSpec, run
 from repro.core.batched import exact_stream_counts
+from repro.core.engine import EngineConfig, JoinEngine
+from repro.streams.batches import DEFAULT_BATCH_SIZE
 from repro.streams.sources import ZipfSource
 
 SEED = 0
@@ -108,6 +115,57 @@ def soak_exact_lane(ticks: int, *, slack_pct: float, slack_kib: float) -> dict:
     }
 
 
+class _SampledSource:
+    """An unbounded unit-rate source that samples live memory every
+    ``every`` ticks as they are pulled — the chunk lane takes no
+    progress callback (``on_summary`` would send it back to the
+    per-tick lane)."""
+
+    unit_rate = True
+    length = None
+
+    def __init__(self, source, every: int, samples: list) -> None:
+        self.source = source
+        self.every = every
+        self.samples = samples
+
+    def __iter__(self):
+        every, samples = self.every, self.samples
+        for t, event in enumerate(self.source, 1):
+            if t % every == 0:
+                samples.append((t, tracemalloc.get_traced_memory()[0]))
+            yield event
+
+
+def soak_chunk_lane(ticks: int, *, slack_pct: float, slack_kib: float) -> dict:
+    """The same ticks through the batched EXACT chunk lane."""
+    every = max(1, ticks // CHECKPOINTS)
+    samples: list[tuple[int, int]] = []
+    source = _SampledSource(ZipfSource(DOMAIN, SKEW, seed=SEED), every, samples)
+    engine = JoinEngine(EngineConfig(
+        window=WINDOW, memory=2 * WINDOW, batch_size=DEFAULT_BATCH_SIZE,
+    ))
+
+    tracemalloc.start()
+    start = time.perf_counter()
+    result = engine.run_stream(source, until=ticks)
+    seconds = time.perf_counter() - start
+    tracemalloc.stop()
+
+    flat, why = _flatness(samples, slack_pct=slack_pct, slack_kib=slack_kib)
+    return {
+        "ticks": result.length,
+        "batch_size": DEFAULT_BATCH_SIZE,
+        "output": result.output_count,
+        "total_output": result.total_output_count,
+        "seconds": round(seconds, 3),
+        "ktuples_per_second": round(result.length / seconds / 1000, 2),
+        "memory_kib": [round(b / 1024, 1) for _, b in samples],
+        "flat": flat,
+        "mismatch": why,
+    }
+
+
 def soak_policy_path(ticks: int, *, slack_pct: float, slack_kib: float) -> dict:
     """The full engine path: PROB + live EWMA over an unbounded source."""
     spec = RunSpec(
@@ -145,13 +203,19 @@ def build_soak_snapshot(ticks: int, policy_ticks: int, *,
                         slack_pct: float = 5.0,
                         slack_kib: float = 64.0) -> dict:
     exact = soak_exact_lane(ticks, slack_pct=slack_pct, slack_kib=slack_kib)
+    chunk = soak_chunk_lane(ticks, slack_pct=slack_pct, slack_kib=slack_kib)
     policy = soak_policy_path(policy_ticks, slack_pct=slack_pct,
                               slack_kib=slack_kib)
     mismatches = [
         f"{lane}: {leg['mismatch']}"
-        for lane, leg in (("exact", exact), ("policy", policy))
+        for lane, leg in (("exact", exact), ("chunk", chunk), ("policy", policy))
         if not leg["flat"]
     ]
+    for name in ("output", "total_output"):
+        if chunk[name] != exact[name]:
+            mismatches.append(
+                f"chunk: {name} {chunk[name]} != streaming lane's {exact[name]}"
+            )
     return {
         "benchmark": "soak",
         "parameters": {
@@ -166,6 +230,7 @@ def build_soak_snapshot(ticks: int, policy_ticks: int, *,
             "slack_kib": slack_kib,
         },
         "exact": exact,
+        "chunk": chunk,
         "policy": policy,
         "counts": {
             "exact_output": exact["output"],
@@ -203,15 +268,12 @@ def main() -> int:
         args.ticks, args.policy_ticks,
         slack_pct=args.slack_pct, slack_kib=args.slack_kib,
     )
-    exact, policy = snapshot["exact"], snapshot["policy"]
-    print(f"  exact : {exact['ticks']:,} ticks in {exact['seconds']:.1f}s "
-          f"({exact['ktuples_per_second']:.0f}k ticks/s), "
-          f"memory {exact['memory_kib'][0]:.1f} -> "
-          f"{exact['memory_kib'][-1]:.1f} KiB, flat={exact['flat']}")
-    print(f"  policy: {policy['ticks']:,} ticks in {policy['seconds']:.1f}s "
-          f"({policy['ktuples_per_second']:.0f}k ticks/s), "
-          f"memory {policy['memory_kib'][0]:.1f} -> "
-          f"{policy['memory_kib'][-1]:.1f} KiB, flat={policy['flat']}")
+    for lane in ("exact", "chunk", "policy"):
+        leg = snapshot[lane]
+        print(f"  {lane:<6}: {leg['ticks']:,} ticks in {leg['seconds']:.1f}s "
+              f"({leg['ktuples_per_second']:.0f}k ticks/s), "
+              f"memory {leg['memory_kib'][0]:.1f} -> "
+              f"{leg['memory_kib'][-1]:.1f} KiB, flat={leg['flat']}")
 
     Path(args.out).write_text(json.dumps(snapshot, indent=2) + "\n")
     print(f"wrote {args.out}")
@@ -220,7 +282,7 @@ def main() -> int:
         for line in snapshot["mismatches"]:
             print(f"  FAIL {line}", file=sys.stderr)
         return 1
-    print("soak OK: live memory flat on both lanes")
+    print("soak OK: live memory flat on every lane")
     return 0
 
 

@@ -68,8 +68,9 @@ measured in the same interleaved rounds.
 
 When a committed ``BENCH_soak.json`` exists (written by ``make soak``
 / ``benchmarks/bench_soak.py``), the gate re-runs the bounded-memory
-soak — an unbounded zipf source through the streaming EXACT lane and
-the full PROB+EWMA engine path with ``tracemalloc`` on — and checks
+soak — an unbounded zipf source through the per-tick and the batched
+EXACT lanes and the full PROB+EWMA engine path with ``tracemalloc``
+on — and checks
 the incremental path's contract: live memory must stay flat
 (window-bounded, never stream-length-bounded), and the deterministic
 output counts must match the committed baseline exactly when the
@@ -461,8 +462,9 @@ def check_obs(baseline: dict, fresh: dict) -> list[str]:
 def check_soak(baseline: dict, fresh: dict) -> list[str]:
     """Failure messages for the bounded-memory soak snapshot.
 
-    * the fresh run must be memory-flat on both incremental lanes
-      (streaming EXACT counts and the PROB+EWMA engine path) — the
+    * the fresh run must be memory-flat on every incremental lane
+      (per-tick and batched EXACT counts, the PROB+EWMA engine path,
+      with the two EXACT lanes agreeing on output) — the
       source refactor's hard guarantee that live memory is bounded by
       the window/budget, never by stream length, checked strictly;
     * the deterministic counts must match the committed baseline

@@ -903,9 +903,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--batch-size", type=int, default=None, dest="batch_size",
-        help="chunk unit-rate sources into columnar micro-batches "
-             "(EXACT and static RAND/PROB/LIFE take the vectorized "
-             "lanes; memory stays bounded, results identical)",
+        help="accepted for parity with `repro run`, but no lane "
+             "engages: serve always prints rolling summaries, which need "
+             "tick granularity, so EXACT runs the per-tick count lane and "
+             "the shedding policies the per-tuple loop (results identical "
+             "either way); the chunk lanes serve library runs without "
+             "on_summary",
     )
     serve_parser.add_argument(
         "--estimator",

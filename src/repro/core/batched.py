@@ -23,12 +23,14 @@ arithmetic:
 
 The lanes here are *gated*, not general: callers must verify the
 configuration cannot overflow (``capacity >= 2 * window`` for
-:func:`exact_chunk_counts`, the synchronous engine's pair input) or
-must pass capacity bounds for the lane to check
-(:func:`exact_stream_counts`, which serves source input and the
-asynchronous engine, where bursts can overflow).  A regression gate
-(``benchmarks/bench_batch.py``) pins the lane output bit-identical to
-the per-tuple engines.
+:func:`exact_chunk_counts`, which serves the synchronous engine's pair
+input and its unit-rate source input with ``batch_size``, keeping a
+key history bounded by the window) or must pass capacity bounds for
+the lane to check (:func:`exact_stream_counts`, which serves the
+remaining source input — rolling summaries, bursty sources, lossy
+budgets — and the asynchronous engine, where bursts can overflow).  A
+regression gate (``benchmarks/bench_batch.py``) pins the lane output
+bit-identical to the per-tuple engines.
 
 The shedding policies have chunk lanes too: :mod:`.batched_policies`
 (re-exported here) carries ``rand_chunk_run`` / ``prob_chunk_run`` /
@@ -79,16 +81,27 @@ def exact_chunk_counts(
     both newcomers against the opposite counts (before either same-tick
     insert), count the simultaneous pair, then insert both.
 
+    ``chunks`` may come from a materialized pair or from a unit-rate
+    source re-chunked on the fly, and may be unbounded: working state
+    is two count dicts plus a key history of at most ``2 * window``
+    keys and one chunk per side — ``O(window + batch_size)``, never
+    the stream length.
+
     The caller guarantees the lossless budget (``capacity >= 2 *
     window``), so no capacity checks appear in the loop.
     """
     r_counts: dict = {}
     s_counts: dict = {}
-    # Flat key history, extended chunk-wise *before* the chunk's ticks
-    # run: expiry at tick t reads index t - window, which is always
-    # behind the loop cursor, and probes never read the history.
+    # Key history of ticks hist_base .., extended chunk-wise *before*
+    # the chunk's ticks run: expiry at tick t reads tick t - window,
+    # which is always behind the loop cursor, and probes never read the
+    # history.  Ticks no later chunk can expire (before base - window)
+    # are trimmed once they make up a window's worth, so the history
+    # holds at most 2 * window + one chunk of keys, whatever the
+    # stream length.
     r_hist: list = []
     s_hist: list = []
+    hist_base = 0
 
     output = 0
     total_output = 0
@@ -102,13 +115,21 @@ def exact_chunk_counts(
         r_keys = chunk.r_list()
         s_keys = chunk.s_list()
         base = chunk.start
+        stale = base - window - hist_base
+        if stale >= window:
+            del r_hist[:stale]
+            del s_hist[:stale]
+            hist_base += stale
         r_hist.extend(r_keys)
         s_hist.extend(s_keys)
+        # Tick t's history index is t - hist_base, so the key expiring
+        # at t sits at t - lag; it is negative exactly when t < window.
+        lag = window + hist_base
         for i in range(chunk.length):
             t = base + i
             # 1. expiry: the synchronous model retires exactly the
             #    arrival at t - window on each side.
-            old = t - window
+            old = t - lag
             if old >= 0:
                 key = r_hist[old]
                 remaining = r_counts[key] - 1

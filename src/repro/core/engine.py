@@ -33,9 +33,10 @@ tick, for pair input (a plain ``PairSource``) and source input alike:
 * :meth:`~JoinEngine._run_fast` — the inlined hot loop for pair input;
 * :meth:`~JoinEngine._run_exact_batched` and
   :meth:`~JoinEngine._run_policy_lanes` — the columnar lanes
-  (``batch_size``);
-* :meth:`~JoinEngine._run_exact_stream` — the count-only EXACT lane for
-  source input.
+  (``batch_size``), over pair input or a unit-rate source re-chunked
+  on the fly;
+* :meth:`~JoinEngine._run_exact_stream` — the per-tick count-only EXACT
+  lane for the source input no chunk lane covers.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ class EngineConfig:
         bit-identically at chunk granularity — the EXACT count-only
         lane (no policy, lossless budget) and the vectorized policy
         lanes for RAND, PROB, and LIFE with static probability tables
-        (fixed or variable allocation) — and silently falls back to the
-        per-tuple path whenever a tracer, schedule, validation hook,
-        arrival observer (online estimators), or an uncovered policy
-        (ARM, FIFO) needs tuple granularity.  Results are bit-identical
+        (fixed or variable allocation) — on pair input and on unit-rate
+        sources run without ``on_summary`` alike, and silently falls
+        back to the per-tick or per-tuple path whenever a tracer,
+        schedule, validation hook, rolling-summary callback, arrival
+        observer (online estimators), or an uncovered policy (ARM,
+        FIFO) needs tuple granularity.  Results are bit-identical
         either way.
     force_general:
         Route a pair-input run through the kernel loop (the one
@@ -404,9 +407,11 @@ class JoinEngine:
         policy-less lossless runs, :meth:`_run_policy_lanes` for
         RAND/PROB/LIFE with static tables) and the inlined
         :meth:`_run_fast` loop when not.  Uninstrumented source input
-        takes the count-only EXACT lane (:meth:`_run_exact_stream`) when
-        policy-less, the policy lanes on a unit-rate source with
-        ``batch_size`` and no ``on_summary``, and the kernel loop
+        takes the same two lanes over :meth:`_chunks_from_source` on a
+        unit-rate source with ``batch_size`` and no ``on_summary``;
+        failing that, the per-tick count-only EXACT lane
+        (:meth:`_run_exact_stream`) when policy-less (it also raises
+        the overflow of a ``M < 2w`` run), and the kernel loop
         otherwise.
         """
         config = self.config
@@ -416,6 +421,7 @@ class JoinEngine:
         policyless = (
             self._policy_r is None and self._policy_s is None and not self._observers
         )
+        lossless = policyless and self.memory.capacity >= 2 * config.window
         if pair is not None:
             if (
                 per_tuple
@@ -428,25 +434,29 @@ class JoinEngine:
             ):
                 return self._run_incremental(iter(source), obs, tracer, pair)
             if config.batch_size is not None:
-                if policyless and self.memory.capacity >= 2 * config.window:
-                    return self._run_exact_batched(pair, obs)
+                from ..streams.batches import encode_chunks
+
+                chunks = encode_chunks(pair, config.batch_size)  # lazy
+                if lossless:
+                    return self._run_exact_batched(chunks, obs, len(pair))
                 kind = self._policy_lane_kind()
                 if kind is not None:
-                    from ..streams.batches import encode_chunks
-
-                    chunks = encode_chunks(pair, config.batch_size)
                     return self._run_policy_lanes(chunks, kind, obs, len(pair))
             return self._run_fast(pair, obs)
 
         events = bounded_events(source, until, stop)
         if obs is None and not per_tuple:
-            if policyless:
-                return self._run_exact_stream(events, on_summary, stride)
-            if (
+            chunked = (
                 on_summary is None
                 and config.batch_size is not None
                 and getattr(source, "unit_rate", False)
-            ):
+            )
+            if chunked and lossless:
+                chunks = self._chunks_from_source(events, config.batch_size)
+                return self._run_exact_batched(chunks, None, None)
+            if policyless:
+                return self._run_exact_stream(events, on_summary, stride)
+            if chunked:
                 kind = self._policy_lane_kind()
                 if kind is not None:
                     chunks = self._chunks_from_source(events, config.batch_size)
@@ -657,8 +667,8 @@ class JoinEngine:
         )
 
     # ------------------------------------------------------------------
-    def _run_exact_batched(self, pair: StreamPair, obs) -> RunResult:
-        """The columnar EXACT count lane for pair input.
+    def _run_exact_batched(self, chunks, obs, length: Optional[int]) -> RunResult:
+        """The columnar EXACT count lane, for pair and source input alike.
 
         Replaces per-match iteration with dictionary count arithmetic
         over struct-of-arrays chunks (:mod:`repro.core.batched`).  Only
@@ -667,21 +677,26 @@ class JoinEngine:
         analytic: drop ledger, survival records, and occupancy series
         are synthesised in closed form and match the per-tuple loop
         bit for bit.
+
+        ``chunks`` come from ``encode_chunks(pair)`` for pair input
+        (``length`` is the pair's) or from :meth:`_chunks_from_source`
+        for source input (``length`` is ``None``, and neither survival
+        arrays nor a metrics sampler exist), mirroring
+        :meth:`_run_policy_lanes`.  The lane's key history is bounded
+        by the window, so unbounded sources are safe.
         """
-        from ..streams.batches import encode_chunks
         from .batched import exact_chunk_counts
 
         config = self.config
         window = config.window
-        length = len(pair)
 
         run_timer = None
         if obs is not None:
             run_timer = Timer()
             run_timer.start()
 
-        output, total_output, simultaneous_total, _ = exact_chunk_counts(
-            encode_chunks(pair, config.batch_size),
+        output, total_output, simultaneous_total, ticks = exact_chunk_counts(
+            chunks,
             window,
             config.warmup,
             count_simultaneous=config.count_simultaneous,
@@ -689,27 +704,27 @@ class JoinEngine:
 
         # EXACT never rejects or evicts; each side expires exactly the
         # arrivals older than the final window.
-        expired = max(0, length - window)
+        expired = max(0, ticks - window)
         # Every tuple serves its full window: natural departure at
         # arrival + w - 1, for the expired and the end-resident alike.
         departures = None
-        if config.track_survival:
-            natural = [arrival + window - 1 for arrival in range(length)]
+        if length is not None and config.track_survival:
+            natural = [arrival + window - 1 for arrival in range(ticks)]
             departures = (natural, list(natural))
 
         if obs is not None:
             # After tick t's admissions each side holds min(t+1, window)
             # residents — the same samples the per-tuple loop records.
             sample = _occupancy_sampler(obs)
-            for t in range(0, length, self._sample_every()):
+            for t in range(0, ticks, self._sample_every()):
                 size = min(t + 1, window)
                 sample(t, size, size)
 
         return self._result(
-            output, total_output, simultaneous_total, length,
+            output, total_output, simultaneous_total, ticks,
             _ledger(0, 0, expired, 0, 0, expired),
             obs=obs, run_timer=run_timer, departures=departures,
-            final_occupancy=(min(length, window),) * 2,
+            final_occupancy=(min(ticks, window),) * 2,
         )
 
     # ------------------------------------------------------------------
@@ -860,10 +875,12 @@ class JoinEngine:
     def _run_exact_stream(self, events, on_summary, stride) -> RunResult:
         """The count-only EXACT lane for source input.
 
-        Policy-less, uninstrumented source runs reduce to the dictionary
+        Policy-less, uninstrumented source runs that no chunk lane
+        covers (``on_summary``, bursty sources, no ``batch_size``, or a
+        ``M < 2w`` budget that must overflow) reduce to the dictionary
         count arithmetic of :func:`repro.core.batched.exact_stream_counts`
-        — bounded working state, no record allocation.  This is what
-        ``make soak`` drives for millions of ticks.
+        — bounded working state, no record allocation.  ``make soak``
+        drives it, and the chunk lane beside it, for millions of ticks.
         """
         from .batched import exact_stream_counts
 

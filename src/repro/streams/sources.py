@@ -68,8 +68,6 @@ SourceEvent = tuple[tuple, tuple]
 #: itself deterministic for a fixed block size.
 _BLOCK = 4096
 
-_EMPTY: tuple = ()
-
 
 @runtime_checkable
 class Source(Protocol):
@@ -121,19 +119,6 @@ class PairSource:
         return f"PairSource({self.pair.name!r}, length={len(self.pair)})"
 
 
-def _block_counts(rate: Optional[float], seed: int, block_index: int) -> list[int]:
-    """Per-tick arrival counts for one block of one stream.
-
-    ``rate=None`` is the synchronous model (exactly one arrival per
-    tick); otherwise counts come from the Poisson schedule of
-    :mod:`repro.streams.arrival`, re-seeded per block so the sequence is
-    restartable without carrying RNG state.
-    """
-    if rate is None:
-        return [1] * _BLOCK
-    return poisson_schedule(_BLOCK, rate, seed=seed + block_index)
-
-
 def _iter_generator_events(
     dist_r: ZipfDistribution,
     dist_s: ZipfDistribution,
@@ -146,25 +131,40 @@ def _iter_generator_events(
     """Stream events from a pair of stationary distributions.
 
     Keys are sampled block-wise (bounded working memory) from
-    deterministic per-side RNGs; when ``rate`` is set, per-tick arrival
-    counts come from block-seeded Poisson schedules.
+    deterministic per-side RNGs, a full ``_BLOCK`` per side per block
+    even when ``length`` ends the stream inside it.  ``rate=None`` is
+    the synchronous model: tick ``i`` of a block carries key ``i`` of
+    each side, paired up by ``zip`` in C.  Otherwise per-tick arrival
+    counts come from the Poisson schedule of
+    :mod:`repro.streams.arrival`, re-seeded per block so the sequence is
+    restartable without carrying RNG state, and each tick's batch is a
+    slice of the block's key tuple.
     """
     rng_r = np.random.default_rng([seed, 211, start_tick])
     rng_s = np.random.default_rng([seed, 613, start_tick])
     emitted = 0
     block_index = 0
     while length is None or emitted < length:
-        counts_r = _block_counts(rate, seed + 5, block_index)
-        counts_s = _block_counts(rate, seed + 11, block_index)
-        keys_r = iter(dist_r.sample(int(sum(counts_r)), rng_r).tolist())
-        keys_s = iter(dist_s.sample(int(sum(counts_s)), rng_s).tolist())
-        for n_r, n_s in zip(counts_r, counts_s):
-            r_batch = tuple(next(keys_r) for _ in range(n_r)) if n_r else _EMPTY
-            s_batch = tuple(next(keys_s) for _ in range(n_s)) if n_s else _EMPTY
-            yield (r_batch, s_batch)
-            emitted += 1
-            if length is not None and emitted >= length:
-                return
+        if rate is None:
+            ticks = _BLOCK if length is None else min(_BLOCK, length - emitted)
+            keys_r = dist_r.sample(_BLOCK, rng_r)[:ticks].tolist()
+            keys_s = dist_s.sample(_BLOCK, rng_s)[:ticks].tolist()
+            # zip(keys) yields the one-key batches (k,) directly.
+            yield from zip(zip(keys_r), zip(keys_s))
+            emitted += ticks
+        else:
+            counts_r = poisson_schedule(_BLOCK, rate, seed=seed + 5 + block_index)
+            counts_s = poisson_schedule(_BLOCK, rate, seed=seed + 11 + block_index)
+            keys_r = tuple(dist_r.sample(int(sum(counts_r)), rng_r).tolist())
+            keys_s = tuple(dist_s.sample(int(sum(counts_s)), rng_s).tolist())
+            end_r = end_s = 0
+            for n_r, n_s in zip(counts_r, counts_s):
+                start_r, end_r = end_r, end_r + n_r
+                start_s, end_s = end_s, end_s + n_s
+                yield (keys_r[start_r:end_r], keys_s[start_s:end_s])
+                emitted += 1
+                if length is not None and emitted >= length:
+                    return
         block_index += 1
 
 

@@ -12,7 +12,7 @@ import pytest
 from repro.api import RunSpec, run
 from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.core.batched import exact_chunk_counts, exact_tick_counts
-from repro.core.engine import EngineConfig
+from repro.core.engine import CapacityExceededError, EngineConfig, JoinEngine
 from repro.core.kernel import JoinKernel
 from repro.core.memory import JoinMemory, TupleRecord
 from repro.obs import MetricsRegistry
@@ -24,6 +24,7 @@ from repro.streams.batches import (
     encode_columns,
     resolve_batch_size,
 )
+from repro.streams.sources import ZipfSource, take_pair
 from repro.streams.tuples import StreamPair
 
 SMALL = dict(window=20, memory=10, length=400, seed=3)
@@ -382,3 +383,103 @@ class TestBatchedIdentity:
             assert batched.output_count == baseline.output_count
             assert batched.total_output_count == baseline.total_output_count
             assert batched.drop_counts == baseline.drop_counts
+
+
+# ----------------------------------------------------------------------
+# the EXACT chunk lane on unit-rate source input
+# ----------------------------------------------------------------------
+
+SOURCE_WINDOW = 30
+SOURCE_TICKS = 5000
+
+
+def spy_exact_lanes(monkeypatch) -> list:
+    """Record which EXACT count lane ran (the engine looks the lane
+    functions up in ``repro.core.batched`` at call time)."""
+    import repro.core.batched as batched
+
+    calls = []
+    for name in ("exact_chunk_counts", "exact_stream_counts"):
+        def spy(*args, _name=name, _fn=getattr(batched, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(batched, name, spy)
+    return calls
+
+
+def exact_engine(batch_size=None, memory=2 * SOURCE_WINDOW, **config):
+    return JoinEngine(EngineConfig(
+        window=SOURCE_WINDOW, memory=memory, batch_size=batch_size, **config
+    ))
+
+
+class TestExactChunkLaneOnSources:
+    """Batched EXACT on a unit-rate source runs ``exact_chunk_counts``
+    over re-chunked source events and matches the pair path exactly."""
+
+    @pytest.mark.parametrize("batch_size", (1, 7, 4096, SOURCE_TICKS + 1))
+    @pytest.mark.parametrize("count_simultaneous", (True, False))
+    @pytest.mark.parametrize("bounded", (True, False), ids=("length", "until"))
+    def test_matches_pair_path(
+        self, batch_size, count_simultaneous, bounded, monkeypatch
+    ):
+        # Correlated streams share hot keys, so same-tick pairs occur.
+        source = ZipfSource(
+            40, 1.0, correlation="correlated", seed=13,
+            length=SOURCE_TICKS if bounded else None,
+        )
+        expected = exact_engine(count_simultaneous=count_simultaneous).run(
+            take_pair(source, SOURCE_TICKS)
+        )
+        lanes = spy_exact_lanes(monkeypatch)
+        streamed = exact_engine(
+            batch_size, count_simultaneous=count_simultaneous
+        ).run_stream(source, until=None if bounded else SOURCE_TICKS)
+        assert lanes == ["exact_chunk_counts"]
+        assert (
+            streamed.output_count,
+            streamed.total_output_count,
+            streamed.drop_counts,
+            streamed.length,
+        ) == (
+            expected.output_count,
+            expected.total_output_count,
+            expected.drop_counts,
+            expected.length,
+        )
+        assert streamed.r_departures is None  # no per-arrival state
+
+    def test_summary_callback_keeps_the_stream_lane(self, monkeypatch):
+        lanes = spy_exact_lanes(monkeypatch)
+        exact_engine(64).run_stream(
+            ZipfSource(40, 1.0, seed=13, length=500), on_summary=lambda s: None
+        )
+        assert lanes == ["exact_stream_counts"]
+
+    def test_lossy_budget_still_raises(self, monkeypatch):
+        # NONE (M < 2w) must overflow exactly as the per-tuple lanes do;
+        # the lossless chunk lane has no capacity checks to do it with.
+        lanes = spy_exact_lanes(monkeypatch)
+        engine = exact_engine(64, memory=2 * SOURCE_WINDOW - 2)
+        assert engine.policy_name == "NONE"
+        with pytest.raises(CapacityExceededError, match="memory overflow"):
+            engine.run_stream(ZipfSource(40, 1.0, seed=13, length=500))
+        assert lanes == ["exact_stream_counts"]
+
+    def test_unbounded_source_stays_bounded(self):
+        # The lane keeps O(window + batch_size) keys, never the stream:
+        # a run 10x longer may not cost 2x the peak memory.
+        import tracemalloc
+
+        def peak(duration):
+            engine = exact_engine(64)
+            tracemalloc.start()
+            result = engine.run_stream(ZipfSource(30, 1.0, seed=2), until=duration)
+            _, high = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert result.length == duration
+            return high
+
+        short, long = peak(4000), peak(40000)
+        assert long < 2 * short, (short, long)

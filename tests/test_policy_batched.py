@@ -201,7 +201,7 @@ class TestStreamingPolicyLanes:
         short, long = peak(3000), peak(12000)
         assert long < 2 * short, (short, long)
 
-    @pytest.mark.parametrize("algorithm", ("RAND", "PROB", "LIFE"))
+    @pytest.mark.parametrize("algorithm", ("EXACT", "RAND", "PROB", "LIFE"))
     def test_bursting_unit_rate_source_is_refused(self, algorithm):
         # A source that declares unit_rate but bursts would lose its
         # extra arrivals in the one-key-per-tick chunk columns; the lane

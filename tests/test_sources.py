@@ -7,6 +7,7 @@ iterator state), and the JSONL replay format must round-trip recorded
 traffic exactly.
 """
 
+import hashlib
 import itertools
 import json
 import pickle
@@ -171,6 +172,68 @@ class TestDriftingZipfSource:
     def test_rejects_bad_phase_length(self):
         with pytest.raises(ValueError, match="phase_length"):
             DriftingZipfSource(10, 1.0, phase_length=0)
+
+
+# ----------------------------------------------------------------------
+# pinned event sequences: the generators' output is part of the contract
+# (every recorded result depends on it), so a faster generator must
+# reproduce the recorded sha256 digests bit for bit — tuple types
+# included, since ``repr`` tells a tuple from a list.
+# ----------------------------------------------------------------------
+
+def _event_digest(events):
+    digest = hashlib.sha256()
+    count = 0
+    for event in events:
+        assert type(event) is tuple and all(type(side) is tuple for side in event)
+        digest.update(repr(event).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+_PINNED_SOURCES = {
+    # lengths straddle the 4096-tick sampling block
+    **{
+        f"zipf-{corr}-{length}": (
+            lambda corr=corr, length=length: ZipfSource(
+                100, 1.0, correlation=corr, seed=3, length=length
+            )
+        )
+        for corr in ("uncorrelated", "correlated")
+        for length in (0, 1, 4095, 4096, 4097, 10_000)
+    },
+    "zipf-unbounded-islice": lambda: itertools.islice(ZipfSource(100, 1.0, seed=3), 9000),
+    # a phase that is not a multiple of the sampling block
+    "drifting-1500": lambda: DriftingZipfSource(
+        100, 1.2, phase_length=1500, seed=5, length=10_000
+    ),
+    "poisson-0.7": lambda: PoissonSource(100, 1.0, 0.7, seed=9, length=10_000),
+    "poisson-2.5": lambda: PoissonSource(100, 1.0, 2.5, seed=9, length=10_000),
+}
+
+_PINNED_DIGESTS = {
+    "zipf-uncorrelated-0": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "zipf-uncorrelated-1": (1, "7516ae4a1d7b2fee6ccf72671ae7ac2c3a23671ff04405e1aa30182fb60ed06e"),
+    "zipf-uncorrelated-4095": (4095, "a4241bcd2af862f56baa42200b65e232afc3dde11d4ab2f24af077e381efb764"),
+    "zipf-uncorrelated-4096": (4096, "7d7e077bb64ac92ebb525043516c673889ea56e712c89c9e52b1599feb2a0676"),
+    "zipf-uncorrelated-4097": (4097, "3855fb67b884fd0f5eae7afccf2bafb6570e7b869ec0bd0682e6d983a7c69ca5"),
+    "zipf-uncorrelated-10000": (10000, "86b2f0ecc1c89d678d654893cd04dda6d81feba93af5716714695745c4f36b7c"),
+    "zipf-correlated-0": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "zipf-correlated-1": (1, "dfc861b2b1b1a10966b351619bf00e611a6c409d925fb8b60724a7877f69614a"),
+    "zipf-correlated-4095": (4095, "6dcf51c00ba492e9554d9474634ddeacc9e741fa3c997114b9d2c18e5b895922"),
+    "zipf-correlated-4096": (4096, "11704238651df36e4d7e3b61a49a2531cfc65580dba0eb565d655ae015d3304e"),
+    "zipf-correlated-4097": (4097, "43056bdff6bf9b009f0921e5eb55084563dc7994f055e5a2158ec27ebb5f7319"),
+    "zipf-correlated-10000": (10000, "5f64fb72522701173a1cff802ced0500631d9c32494fad60f388ae0b78b5f661"),
+    "zipf-unbounded-islice": (9000, "4e8d88853a9b225404cfbb2641968ad379e2e22aaa5d643219b3e24a78f77729"),
+    "drifting-1500": (10000, "1cd9b689fd70933d3b56bf17e5315ba8fb206bfe577aed58aeb4da5011ff43d6"),
+    "poisson-0.7": (10000, "26c558cc875537189bd0293d186de980d2c2b86a37b7df427b536d8823dd726c"),
+    "poisson-2.5": (10000, "cd22b037e4998a6b9acc47ccd4a577ccec3c6724b5f43b84458a3069ee3d7a28"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SOURCES))
+def test_generator_event_sequence_is_pinned(name):
+    assert _event_digest(_PINNED_SOURCES[name]()) == _PINNED_DIGESTS[name]
 
 
 # ----------------------------------------------------------------------

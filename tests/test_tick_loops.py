@@ -222,6 +222,7 @@ class CountingSource:
 PULL_PATHS = {
     "sync-kernel-loop": ("fast", "PROB", None, None),
     "sync-exact-lane": ("fast", "EXACT", None, "exact_stream_counts"),
+    "sync-exact-chunk-lane": ("fast", "EXACT", 64, "exact_chunk_counts"),
     "sync-policy-lane": ("fast", "PROB", 64, "prob_chunk_run"),
     "async-loop": ("async", "PROB", None, None),
     "async-exact-lane": ("async", "EXACT", None, "exact_stream_counts"),
@@ -233,7 +234,7 @@ def _pull_run(monkeypatch, path, **bounds):
 
     engine_kind, algorithm, batch_size, lane = PULL_PATHS[path]
     lanes = []
-    for name in ("exact_stream_counts", "prob_chunk_run"):
+    for name in ("exact_stream_counts", "exact_chunk_counts", "prob_chunk_run"):
         def spy(*args, _name=name, _fn=getattr(batched, name), **kwargs):
             lanes.append(_name)
             return _fn(*args, **kwargs)
