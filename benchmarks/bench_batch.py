@@ -1,8 +1,9 @@
 """Write BENCH_batch.json: columnar-batch throughput + identity check.
 
 Runs the EXACT workload of ``BENCH_engine.json`` (``ci`` scale: n=2000,
-w=100) two ways on the fast-CPU engine — per-tuple and through the
-columnar micro-batch lane (``batch_size`` set) — with the timings
+w=100) two ways on the fast-CPU engine — per-tuple, on the kernel loop
+(:func:`per_tuple_run`, ``force_general``), and through the columnar
+micro-batch lane, which ``run`` takes by default — with the timings
 interleaved per round (see ``snapshot._interleaved_best``), and records:
 
 * the per-tuple and batched throughputs plus their ratio (``speedup``),
@@ -14,9 +15,8 @@ interleaved per round (see ``snapshot._interleaved_best``), and records:
   EXACT across batch sizes; output/ledger for each shedding policy
   (RAND/PROB/LIFE take the vectorized lanes of
   ``repro.core.batched_policies`` — gated separately by
-  ``bench_policy_batch.py`` — while ARM still falls back to per-tuple,
-  and either route must be invisible); sharded EXACT with
-  ``batch_size`` set.
+  ``bench_policy_batch.py`` — while ARM has no lane and runs the kernel
+  loop on both sides); sharded EXACT with ``batch_size`` set.
 
 The committed ``BENCH_batch.json`` at the repository root is the
 reference point; ``make bench-gate`` rebuilds the snapshot and fails on
@@ -46,6 +46,8 @@ from snapshot import _interleaved_best  # noqa: E402 - sibling module
 
 from repro.api import RunSpec, build_pair, run  # noqa: E402
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory  # noqa: E402
+from repro.experiments.runner import run_algorithm  # noqa: E402
+from repro.obs import MetricsRegistry  # noqa: E402
 from repro.streams.batches import DEFAULT_BATCH_SIZE, HAVE_NUMPY  # noqa: E402
 
 SEED = 0
@@ -53,10 +55,21 @@ SEED = 0
 MIN_SPEEDUP = 1.5
 #: Chunk sizes the identity sweep crosses (plus the whole stream).
 IDENTITY_BATCH_SIZES = (1, 7, 64, DEFAULT_BATCH_SIZE)
-#: Shedding policies whose runs ``batch_size`` must not change: the
+#: Shedding policies whose lanes must reproduce the kernel loop: the
 #: static-table ones take the vectorized policy lanes (timed and floor-
-#: gated by ``bench_policy_batch.py``); ARM has no lane and falls back.
+#: gated by ``bench_policy_batch.py``); ARM has no lane.
 SHEDDING_POLICIES = ("RAND", "PROB", "PROBV", "LIFE", "ARM")
+
+
+def per_tuple_run(spec: RunSpec, pair):
+    """``spec`` on ``pair`` through the engine's per-tuple kernel loop
+    (``force_general``): the side the lanes are timed and checked
+    against, since ``run(spec)`` takes a lane wherever one applies."""
+    return run_algorithm(
+        spec.algorithm, pair, spec.window, spec.memory, seed=spec.seed,
+        track_survival=True, force_general=True,
+        metrics=MetricsRegistry() if spec.metrics else None,
+    )
 
 
 def _comparable_metrics(snapshot):
@@ -103,10 +116,10 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
     pair = build_pair(spec())
 
     # -- throughput: per-tuple vs batched EXACT, interleaved ------------
-    run(spec(), pair=pair)  # warm up allocator/caches outside timing
+    per_tuple_run(spec(), pair)  # warm up allocator/caches outside timing
     run(spec(batch_size=DEFAULT_BATCH_SIZE), pair=pair)
     best, results = _interleaved_best(repeats, {
-        "serial": lambda: run(spec(), pair=pair),
+        "serial": lambda: per_tuple_run(spec(), pair),
         "batched": lambda: run(
             spec(batch_size=DEFAULT_BATCH_SIZE), pair=pair
         ),
@@ -130,7 +143,7 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
         )
 
     # -- identity sweep: EXACT across chunk sizes, with metrics --------
-    exact_metrics = run(spec(metrics=True), pair=pair)
+    exact_metrics = per_tuple_run(spec(metrics=True), pair)
     for batch_size in IDENTITY_BATCH_SIZES:
         batched = run(spec(metrics=True, batch_size=batch_size), pair=pair)
         _check_identity(
@@ -140,7 +153,7 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     # -- policy identity: every shedding policy, two chunk sizes -------
     for name in SHEDDING_POLICIES:
-        policy_baseline = run(spec(name), pair=pair)
+        policy_baseline = per_tuple_run(spec(name), pair)
         for batch_size in (7, DEFAULT_BATCH_SIZE):
             batched = run(spec(name, batch_size=batch_size), pair=pair)
             _check_identity(

@@ -2,8 +2,10 @@
 
 The columnar micro-batch path now covers the shedding policies: RAND,
 PROB, and LIFE runs with static probability tables take vectorized
-chunk lanes (``repro.core.batched_policies``) instead of the per-tuple
-hot loop.  This benchmark times the three policies both ways on the
+chunk lanes (``repro.core.batched_policies``), the default path, instead
+of the per-tuple kernel loop.  This benchmark times the three policies
+both ways — the per-tuple side pinned to the kernel loop with
+``bench_batch.per_tuple_run`` (``force_general``) — on the
 ``ci``-scale workload of ``BENCH_engine.json`` (n=2000, w=100), with
 the timings interleaved per round (see ``snapshot._interleaved_best``),
 and records:
@@ -44,7 +46,7 @@ try:
 except ImportError:  # running from a checkout without `make install`
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from bench_batch import _check_identity  # noqa: E402 - sibling module
+from bench_batch import _check_identity, per_tuple_run  # noqa: E402 - sibling module
 from snapshot import _interleaved_best  # noqa: E402 - sibling module
 
 from repro.api import RunSpec, build_pair, run  # noqa: E402
@@ -85,10 +87,10 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     # -- throughput: per-tuple vs batched, interleaved per policy ------
     for name in TIMED_POLICIES:
-        run(spec(name), pair=pair)  # warm up outside the timed rounds
+        per_tuple_run(spec(name), pair)  # warm up outside the timed rounds
         run(spec(name, batch_size=DEFAULT_BATCH_SIZE), pair=pair)
         best, results = _interleaved_best(repeats, {
-            "serial": lambda: run(spec(name), pair=pair),
+            "serial": lambda: per_tuple_run(spec(name), pair),
             "batched": lambda: run(
                 spec(name, batch_size=DEFAULT_BATCH_SIZE), pair=pair
             ),
@@ -120,7 +122,7 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     # -- identity sweep: all lanes x chunk sizes, metrics + survival ---
     for name in IDENTITY_POLICIES:
-        baseline = run(spec(name, metrics=True), pair=pair)
+        baseline = per_tuple_run(spec(name, metrics=True), pair)
         for batch_size in IDENTITY_BATCH_SIZES:
             batched = run(spec(name, metrics=True, batch_size=batch_size), pair=pair)
             label = f"{name} batch={batch_size}"

@@ -9,18 +9,16 @@ overheads, and dumps everything — including a trimmed metrics snapshot
 of the PROB run — as one JSON document.
 
 Overheads are same-lane comparisons: the metrics overhead compares two
-fast-loop runs, and the trace overhead compares the traced run against
-an untraced run *forced onto the same general per-tick loop*
-(``force_general=True``) — a tracer disables the fast loop, so
-comparing against the fast-loop time would report the lane difference
+default-path runs (a columnar lane for EXACT/RAND/PROB/LIFE, the kernel
+loop for ARM), and the trace overhead compares the traced run against
+an untraced run *forced onto the same per-tuple kernel loop*
+(``force_general=True``) — a tracer needs tuple granularity, so
+comparing against a lane's time would report the lane difference
 (hundreds of percent) rather than the cost of tracing.
 
-Since the source refactor, ``run(pair)`` is
-``run_stream(PairSource(pair))`` routed to the historical fast-path
-loops, so these timings measure the source-era hot path and stay
-comparable with pre-refactor baselines.  Before each policy is timed,
-the snapshot asserts that the *incremental* lane (the one unbounded
-sources take) reproduces the fast path bit-for-bit on the same
+Before each policy is timed, the snapshot asserts that the kernel loop
+on source input (``force_general`` over ``PairSource(pair)`` with
+``until=``) reproduces the default pair path bit-for-bit on the same
 workload — output, total, and drop ledger.
 
 The committed ``BENCH_engine.json`` at the repository root is the
@@ -101,20 +99,19 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     policies = []
     for name in POLICIES:
-        # The timed lane is run(pair) — since the source refactor that
-        # is run_stream(PairSource(pair)) routed to the same fast-path
-        # loops, so the committed baselines stay comparable.  Before
-        # timing, pin the *incremental* lane (forced with until=) to
-        # the fast path's result on this exact workload: the streaming
-        # identity contract, asserted where a divergence would silently
-        # skew the numbers being committed.  These two runs double as
-        # the allocator/cache warmup outside the timed rounds.
+        # The timed lane is run(pair), the default path.  Before
+        # timing, pin the kernel loop on source input (a PairSource
+        # with until=, forced off the lanes) to its result on this
+        # exact workload: the lane-vs-per-tuple identity contract,
+        # asserted where a divergence would silently skew the numbers
+        # being committed.  These two runs double as the
+        # allocator/cache warmup outside the timed rounds.
         reference = run_algorithm(
             name, pair, window, memory, estimators=estimators, seed=seed
         )
         incremental = run_algorithm(
             name, pair, window, memory, estimators=estimators, seed=seed,
-            source=PairSource(pair), until=length,
+            source=PairSource(pair), until=length, force_general=True,
         )
         if (
             incremental.output_count != reference.output_count
@@ -122,8 +119,8 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
             or dict(incremental.drop_counts) != dict(reference.drop_counts)
         ):
             raise AssertionError(
-                f"{name}: incremental source path diverged from the pair "
-                f"fast path (output {incremental.output_count} vs "
+                f"{name}: kernel loop on source input diverged from the "
+                f"default pair path (output {incremental.output_count} vs "
                 f"{reference.output_count}, total "
                 f"{incremental.total_output_count} vs "
                 f"{reference.total_output_count}, drops "
@@ -139,11 +136,11 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
                 name, pair, window, memory,
                 estimators=estimators, seed=seed, metrics=MetricsRegistry(),
             ),
-            # A tracer forces the general per-tick loop, so comparing a
-            # traced run against the *fast-loop* "plain" leg measures
+            # A tracer forces the per-tuple kernel loop, so comparing a
+            # traced run against the default-path "plain" leg measures
             # lane difference, not tracing cost (it reported +370% for
             # EXACT).  Pin the trace comparison to the same execution
-            # lane: an untraced run forced onto the general loop.
+            # lane: an untraced run forced onto the kernel loop.
             "general": lambda: run_algorithm(
                 name, pair, window, memory,
                 estimators=estimators, seed=seed, force_general=True,

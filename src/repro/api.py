@@ -85,17 +85,19 @@ class RunSpec:
     bounded ring buffer of ``trace_capacity`` events.  Both default off
     and cost nothing when off (the engines collapse them to ``None``).
 
-    ``batch_size=N`` (fast engine only) enables the columnar micro-batch
-    fast path: the workload is encoded into struct-of-arrays chunks and
-    eligible runs execute chunk-at-a-time — EXACT via count arithmetic,
-    and RAND/PROB/LIFE with static probability tables via the vectorized
-    policy lanes (``repro.core.batched_policies``).  The batcher is
-    adaptive: any option that needs tuple granularity (``trace=True``,
-    ARM/FIFO or estimator-updating policies, schedules) falls back to
-    the per-tuple path, and results are bit-identical either way —
-    output, drop ledger, survival, and metrics.  Sharded runs batch
-    natively per tick regardless of this knob (see
-    ``docs/architecture.md``, "Batched execution").
+    ``batch_size=N`` (fast engine only) sets the chunk size of the
+    columnar micro-batch lanes (``None`` picks the default).  The fast
+    engine takes them by default wherever they cover the run: the
+    workload is encoded into struct-of-arrays chunks and executed
+    chunk-at-a-time — EXACT via count arithmetic, and RAND/PROB/LIFE
+    with static probability tables via the vectorized policy lanes
+    (``repro.core.batched_policies``).  Any option that needs tuple
+    granularity (``trace=True``, ARM/FIFO or estimator-updating
+    policies, schedules) runs the per-tuple kernel loop instead, and
+    results are bit-identical either way — output, drop ledger,
+    survival, and metrics — so ``batch_size`` never changes a result or
+    the path.  Sharded runs batch natively per tick regardless of this
+    knob (see ``docs/architecture.md``, "Batched execution").
 
     ``shards=N`` (fast engine only) hash-partitions the key domain into
     ``N`` independent sub-joins executed via
@@ -125,9 +127,9 @@ class RunSpec:
     run at ``N`` ticks (mandatory for unbounded sources).  Incompatible
     with the materialized-pair-only machinery: the slow-CPU engine, the
     OPT bound, and the checkpoint / degrade / weighted-shard fault knobs
-    (plain sharding, retries, telemetry, and the columnar ``batch_size``
-    lanes all work — unit-rate sources are chunked incrementally, so
-    memory stays bounded even when batched).
+    (plain sharding, retries, telemetry, and the columnar lanes all
+    work — unit-rate sources are chunked incrementally, so memory stays
+    bounded on the lanes too).
 
     ``estimator=`` picks the statistics module feeding PROB/LIFE:
     ``"oracle"`` (default) is the paper's static table (true generating

@@ -70,7 +70,7 @@ from .experiments import (
     format_table,
 )
 from .obs import metrics_to_csv, metrics_to_csv_multi, metrics_to_json
-from .streams import exact_join_size
+from .streams import DEFAULT_BATCH_SIZE, exact_join_size
 
 
 def _spec_from_args(args: argparse.Namespace, algorithm: str) -> RunSpec:
@@ -182,11 +182,9 @@ def _add_workload_arguments(
     )
     parser.add_argument(
         "--batch-size", type=int, default=None, dest="batch_size",
-        help="columnar micro-batch chunk size for the fast engine "
-             "(EXACT takes the count-only lane; RAND/PROB/LIFE with "
-             "static tables take the vectorized policy lanes; "
-             "configurations needing tuple granularity fall back, "
-             "results identical)",
+        help="chunk size of the fast engine's columnar lanes (default "
+             f"{DEFAULT_BATCH_SIZE}); it never changes the result or the "
+             "execution path",
     )
     if metrics:
         parser.add_argument(
@@ -402,7 +400,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             duration=args.duration,
             estimator=args.estimator,
             estimator_alpha=args.estimator_alpha,
-            batch_size=args.batch_size,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -900,15 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--engine", choices=("fast", "async"), default="fast",
-    )
-    serve_parser.add_argument(
-        "--batch-size", type=int, default=None, dest="batch_size",
-        help="accepted for parity with `repro run`, but no lane "
-             "engages: serve always prints rolling summaries, which need "
-             "tick granularity, so EXACT runs the per-tick count lane and "
-             "the shedding policies the per-tuple loop (results identical "
-             "either way); the chunk lanes serve library runs without "
-             "on_summary",
     )
     serve_parser.add_argument(
         "--estimator",

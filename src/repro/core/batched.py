@@ -24,8 +24,8 @@ arithmetic:
 The lanes here are *gated*, not general: callers must verify the
 configuration cannot overflow (``capacity >= 2 * window`` for
 :func:`exact_chunk_counts`, which serves the synchronous engine's pair
-input and its unit-rate source input with ``batch_size``, keeping a
-key history bounded by the window) or must pass capacity bounds for
+input and its unit-rate source input by default, keeping a key history
+bounded by the window) or must pass capacity bounds for
 the lane to check (:func:`exact_stream_counts`, which serves the
 remaining source input — rolling summaries, bursty sources, lossy
 budgets — and the asynchronous engine, where bursts can overflow).  A
@@ -76,7 +76,7 @@ def exact_chunk_counts(
     """Run the synchronous EXACT join over columnar chunks.
 
     Returns ``(output, total_output, simultaneous_total, length)`` with
-    exactly the semantics of ``JoinEngine._run_fast`` under a ``None``
+    exactly the semantics of the engine's kernel loop under a ``None``
     policy: per tick — expire the two ``t - window`` arrivals, probe
     both newcomers against the opposite counts (before either same-tick
     insert), count the simultaneous pair, then insert both.

@@ -31,9 +31,8 @@ hot loop can drive per :class:`~repro.streams.batches.StreamChunk`:
 
 Identity contract
 -----------------
-Every lane reproduces the engine's per-tuple loops (``_run_fast`` on
-pair input, the kernel loop on source input) bit-for-bit, in both
-allocation modes — fixed (``M/2`` per side) and variable (one shared
+Every lane reproduces the engine's per-tuple kernel loop
+(``JoinEngine._run_incremental``) bit-for-bit, in both allocation modes — fixed (``M/2`` per side) and variable (one shared
 pool: RANDV/PROBV/LIFEV): output and total-output counts, the drop
 ledger, survival departures, and the sampled occupancy/share series.
 The engine drives all three lanes through one driver,

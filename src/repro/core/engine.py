@@ -24,17 +24,17 @@ record therefore covers probe events ``arrival + 1 .. t``.
 
 Execution paths
 ---------------
-:meth:`JoinEngine._dispatch` picks one of five implementations of that
+:meth:`JoinEngine._dispatch` picks one of four implementations of that
 tick, for pair input (a plain ``PairSource``) and source input alike:
 
-* :meth:`~JoinEngine._run_incremental` — the kernel loop, the one
-  per-tuple reference loop (tracers, ``emit`` sinks, validation, and
-  the pair-only features run here);
-* :meth:`~JoinEngine._run_fast` — the inlined hot loop for pair input;
 * :meth:`~JoinEngine._run_exact_batched` and
-  :meth:`~JoinEngine._run_policy_lanes` — the columnar lanes
-  (``batch_size``), over pair input or a unit-rate source re-chunked
-  on the fly;
+  :meth:`~JoinEngine._run_policy_lanes` — the columnar lanes, taken by
+  default wherever they cover the run, over pair input or a unit-rate
+  source re-chunked on the fly (``batch_size`` only sizes the chunks);
+* :meth:`~JoinEngine._run_incremental` — the kernel loop, the one
+  per-tuple reference loop (tracers, ``emit`` sinks, validation,
+  ``force_general``, the pair-only features, and the policies no lane
+  covers run here);
 * :meth:`~JoinEngine._run_exact_stream` — the per-tick count-only EXACT
   lane for the source input no chunk lane covers.
 """
@@ -51,6 +51,12 @@ from ..obs.trace import (
     REASON_SIMULTANEOUS,
     TraceEvent,
     tracing_or_none,
+)
+from ..streams.batches import (
+    DEFAULT_BATCH_SIZE,
+    StreamChunk,
+    _encode_column,
+    encode_chunks,
 )
 from ..streams.sources import PairSource, Source, as_source, bounded_events
 from ..streams.tuples import JoinResultTuple, StreamPair
@@ -133,24 +139,23 @@ class EngineConfig:
         default (non-``profile``) metrics mode; ``None`` picks
         ``max(1, window // 8)``.
     batch_size:
-        Enable the columnar micro-batch fast path with this chunk size
-        (``None``, the default, keeps the per-tuple loops).  Batching is
-        *adaptive*: it engages only for configurations it can reproduce
-        bit-identically at chunk granularity — the EXACT count-only
-        lane (no policy, lossless budget) and the vectorized policy
-        lanes for RAND, PROB, and LIFE with static probability tables
-        (fixed or variable allocation) — on pair input and on unit-rate
-        sources run without ``on_summary`` alike, and silently falls
-        back to the per-tick or per-tuple path whenever a tracer,
-        schedule, validation hook, rolling-summary callback, arrival
-        observer (online estimators), or an uncovered policy (ARM,
-        FIFO) needs tuple granularity.  Results are bit-identical
-        either way.
+        Chunk size of the columnar lanes (``None`` picks
+        :data:`~repro.streams.batches.DEFAULT_BATCH_SIZE`).  It never
+        changes a result and never chooses the path: the lanes run
+        whenever they can reproduce the run bit-identically at chunk
+        granularity — the EXACT count-only lane (no policy, lossless
+        budget) and the vectorized policy lanes for RAND, PROB, and
+        LIFE with static probability tables (fixed or variable
+        allocation) — on pair input and on unit-rate sources run
+        without ``on_summary`` or metrics alike.  A tracer, schedule,
+        validation hook, rolling-summary callback, arrival observer
+        (online estimators), or an uncovered policy (ARM, FIFO) takes
+        the per-tick or per-tuple path instead.
     force_general:
-        Route a pair-input run through the kernel loop (the one
-        per-tuple reference loop) even when the fast loop or a lane
-        would apply (benchmarking only: lets overhead comparisons pin
-        both sides to the same execution lane).
+        Route the run through the kernel loop (the one per-tuple
+        reference loop), on pair and source input alike, even when a
+        lane would apply.  Tests and benchmarks use it to name the
+        reference side of a lane-vs-per-tuple comparison.
     validate:
         Run per-tick invariant checks (tests only; slow).
     """
@@ -399,272 +404,63 @@ class JoinEngine:
         """Pick the execution path for pair input (``pair`` given) or
         source input.
 
-        Tracers, ``emit`` sinks, per-tick validation, and — on pair
-        input — ``force_general`` and the pair-only features need tuple
+        Tracers, ``emit`` sinks, per-tick validation, ``force_general``
+        and — on pair input — the pair-only features need tuple
         granularity and run the kernel loop (:meth:`_run_incremental`).
-        Otherwise pair input takes a columnar lane when ``batch_size``
-        covers the configuration (:meth:`_run_exact_batched` for
-        policy-less lossless runs, :meth:`_run_policy_lanes` for
-        RAND/PROB/LIFE with static tables) and the inlined
-        :meth:`_run_fast` loop when not.  Uninstrumented source input
-        takes the same two lanes over :meth:`_chunks_from_source` on a
-        unit-rate source with ``batch_size`` and no ``on_summary``;
-        failing that, the per-tick count-only EXACT lane
-        (:meth:`_run_exact_stream`) when policy-less (it also raises
-        the overflow of a ``M < 2w`` run), and the kernel loop
-        otherwise.
+        Otherwise a columnar lane runs whenever one covers the
+        configuration (:meth:`_lane_kind`): always on pair input, and on
+        uninstrumented source input over :meth:`_chunks_from_source`
+        when the source is unit-rate and no ``on_summary`` is set.
+        Failing that, policy-less source input takes the per-tick
+        count-only EXACT lane (:meth:`_run_exact_stream`, which also
+        raises the overflow of a ``M < 2w`` run), and everything else
+        the kernel loop.  ``batch_size`` only sizes the chunks.
         """
         config = self.config
         obs = active_or_none(self.metrics)
         tracer = tracing_or_none(self.trace)
-        per_tuple = tracer is not None or emit is not None or config.validate
-        policyless = (
-            self._policy_r is None and self._policy_s is None and not self._observers
+        per_tuple = (
+            tracer is not None
+            or emit is not None
+            or config.validate
+            or config.force_general
         )
-        lossless = policyless and self.memory.capacity >= 2 * config.window
         if pair is not None:
-            if (
+            tuple_only = (
                 per_tuple
-                or config.force_general
                 or config.materialize
                 or config.track_shares
                 or config.memory_schedule is not None
                 or config.window_schedule is not None
                 or (config.profile and obs is not None)
-            ):
+            )
+            kind = None if tuple_only else self._lane_kind()
+            if kind is None:
                 return self._run_incremental(iter(source), obs, tracer, pair)
-            if config.batch_size is not None:
-                from ..streams.batches import encode_chunks
-
-                chunks = encode_chunks(pair, config.batch_size)  # lazy
-                if lossless:
-                    return self._run_exact_batched(chunks, obs, len(pair))
-                kind = self._policy_lane_kind()
-                if kind is not None:
-                    return self._run_policy_lanes(chunks, kind, obs, len(pair))
-            return self._run_fast(pair, obs)
+            chunks = encode_chunks(pair, config.batch_size)  # lazy
+            return self._run_lane(kind, chunks, obs, len(pair))
 
         events = bounded_events(source, until, stop)
         if obs is None and not per_tuple:
-            chunked = (
-                on_summary is None
-                and config.batch_size is not None
-                and getattr(source, "unit_rate", False)
-            )
-            if chunked and lossless:
-                chunks = self._chunks_from_source(events, config.batch_size)
-                return self._run_exact_batched(chunks, None, None)
-            if policyless:
+            chunked = on_summary is None and getattr(source, "unit_rate", False)
+            kind = self._lane_kind() if chunked else None
+            if kind is not None:
+                chunks = self._chunks_from_source(
+                    events, config.batch_size or DEFAULT_BATCH_SIZE
+                )
+                return self._run_lane(kind, chunks, None, None)
+            if self._policy_r is None and self._policy_s is None:
                 return self._run_exact_stream(events, on_summary, stride)
-            if chunked:
-                kind = self._policy_lane_kind()
-                if kind is not None:
-                    chunks = self._chunks_from_source(events, config.batch_size)
-                    return self._run_policy_lanes(chunks, kind, None, None)
         return self._run_incremental(
             events, obs, tracer, None, emit, on_summary, stride
         )
 
     # ------------------------------------------------------------------
-    def _run_fast(self, pair: StreamPair, obs) -> RunResult:
-        """The inlined hot loop for pair input (see :meth:`_dispatch`).
-
-        Every per-tick attribute lookup is hoisted into a local, probes
-        read the per-key alive counters directly, admissions are inlined
-        (including the eviction contest), and drop tallies are plain
-        ints flushed into the result's ledger once at the end.  A
-        regression test pins it to the kernel loop.
-        """
-        config = self.config
-        memory = self.memory
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-
-        length = len(pair)
-        r_keys = pair.r
-        s_keys = pair.s
-
-        track_survival = config.track_survival
-        r_departures: Optional[list[int]] = [0] * length if track_survival else None
-        s_departures: Optional[list[int]] = [0] * length if track_survival else None
-
-        mem_r = memory.r
-        mem_s = memory.s
-        r_slots = mem_r._slots
-        s_slots = mem_s._slots
-        r_counts = mem_r._key_counts
-        s_counts = mem_s._key_counts
-        r_by_arrival = mem_r._by_arrival
-        s_by_arrival = mem_s._by_arrival
-        r_add = mem_r.add
-        s_add = mem_s.add
-        r_expire = mem_r.expire_until
-        s_expire = mem_s.expire_until
-
-        policy_r = self._policy_r
-        policy_s = self._policy_s
-        observers = self._observers
-        variable = memory.variable
-        capacity = memory.capacity
-        half = capacity // 2
-        count_sim = config.count_simultaneous
-
-        output = 0
-        total_output = 0
-        simultaneous_total = 0
-        rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
-
-        run_timer = None
-        timed = obs is not None
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = self._sample_every()
-        else:
-            sample_every = 0
-
-        for t in range(length):
-            # 1. expiry ------------------------------------------------
-            horizon = t - window
-            if r_by_arrival and r_by_arrival[0].arrival <= horizon:
-                for record in r_expire(horizon):
-                    exp_r += 1
-                    if policy_r is not None:
-                        policy_r.on_remove(record, t, expired=True)
-                    if track_survival:
-                        r_departures[record.arrival] = record.arrival + window - 1
-            if s_by_arrival and s_by_arrival[0].arrival <= horizon:
-                for record in s_expire(horizon):
-                    exp_s += 1
-                    if policy_s is not None:
-                        policy_s.on_remove(record, t, expired=True)
-                    if track_survival:
-                        s_departures[record.arrival] = record.arrival + window - 1
-
-            r_key = r_keys[t]
-            s_key = s_keys[t]
-
-            # 2. statistics hooks --------------------------------------
-            for policy in observers:
-                policy.observe_arrival("R", r_key, t)
-                policy.observe_arrival("S", s_key, t)
-
-            # 3. probes ------------------------------------------------
-            matched = s_counts.get(r_key, 0) + r_counts.get(s_key, 0)
-            if count_sim and r_key == s_key:
-                matched += 1
-                simultaneous_total += 1
-            total_output += matched
-            if t >= warmup:
-                output += matched
-
-            # 4. admissions: R first, then S ---------------------------
-            record = TupleRecord("R", t, r_key)
-            if (
-                (len(r_slots) + len(s_slots) < capacity)
-                if variable
-                else (len(r_slots) < half)
-            ):
-                r_add(record)
-                if policy_r is not None:
-                    policy_r.on_admit(record, t)
-            elif policy_r is None:
-                raise CapacityExceededError(
-                    f"memory overflow at t={t} with no shedding policy "
-                    f"(capacity {config.memory}, window {config.window})"
-                )
-            else:
-                victim = policy_r.choose_victim(record, t)
-                if victim is None:
-                    rej_r += 1
-                    if track_survival:
-                        r_departures[t] = t
-                else:
-                    if not victim.alive:
-                        raise RuntimeError(
-                            f"policy {policy_r.name} returned a non-resident "
-                            f"victim {victim!r}"
-                        )
-                    if victim.stream == "R":
-                        mem_r.remove(victim)
-                        ev_r += 1
-                        policy_r.on_remove(victim, t, expired=False)
-                        if track_survival:
-                            r_departures[victim.arrival] = t
-                    else:
-                        mem_s.remove(victim)
-                        ev_s += 1
-                        policy_s.on_remove(victim, t, expired=False)
-                        if track_survival:
-                            s_departures[victim.arrival] = t
-                    r_add(record)
-                    policy_r.on_admit(record, t)
-
-            record = TupleRecord("S", t, s_key)
-            if (
-                (len(r_slots) + len(s_slots) < capacity)
-                if variable
-                else (len(s_slots) < half)
-            ):
-                s_add(record)
-                if policy_s is not None:
-                    policy_s.on_admit(record, t)
-            elif policy_s is None:
-                raise CapacityExceededError(
-                    f"memory overflow at t={t} with no shedding policy "
-                    f"(capacity {config.memory}, window {config.window})"
-                )
-            else:
-                victim = policy_s.choose_victim(record, t)
-                if victim is None:
-                    rej_s += 1
-                    if track_survival:
-                        s_departures[t] = t
-                else:
-                    if not victim.alive:
-                        raise RuntimeError(
-                            f"policy {policy_s.name} returned a non-resident "
-                            f"victim {victim!r}"
-                        )
-                    if victim.stream == "R":
-                        mem_r.remove(victim)
-                        ev_r += 1
-                        policy_r.on_remove(victim, t, expired=False)
-                        if track_survival:
-                            r_departures[victim.arrival] = t
-                    else:
-                        mem_s.remove(victim)
-                        ev_s += 1
-                        policy_s.on_remove(victim, t, expired=False)
-                        if track_survival:
-                            s_departures[victim.arrival] = t
-                    s_add(record)
-                    policy_s.on_admit(record, t)
-
-            if sample_every and not t % sample_every:
-                r_size = len(r_slots)
-                s_size = len(s_slots)
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
-
-        # Tuples still resident at stream end would have served their
-        # full window; record the counterfactual natural departure.
-        if track_survival:
-            for side, departures in ((mem_r, r_departures), (mem_s, s_departures)):
-                for record in side.records():
-                    departures[record.arrival] = record.arrival + window - 1
-
-        return self._result(
-            output, total_output, simultaneous_total, length,
-            _ledger(rej_r, ev_r, exp_r, rej_s, ev_s, exp_s),
-            obs=obs, run_timer=run_timer, departures=(r_departures, s_departures),
-        )
+    def _run_lane(self, kind: str, chunks, obs, length: Optional[int]) -> RunResult:
+        """Run ``chunks`` through the columnar lane :meth:`_lane_kind` named."""
+        if kind == "exact":
+            return self._run_exact_batched(chunks, obs, length)
+        return self._run_policy_lanes(chunks, kind, obs, length)
 
     # ------------------------------------------------------------------
     def _run_exact_batched(self, chunks, obs, length: Optional[int]) -> RunResult:
@@ -728,15 +524,20 @@ class JoinEngine:
         )
 
     # ------------------------------------------------------------------
-    def _policy_lane_kind(self) -> Optional[str]:
-        """Which vectorized policy lane covers this engine's wiring.
+    def _lane_kind(self) -> Optional[str]:
+        """Which columnar lane covers this engine's wiring.
 
-        ``None`` means the per-tuple loops must run (uncovered policy
-        type, online estimators, arrival observers, …); see
-        :func:`repro.core.batched.lane_kind_for_policies`.
+        ``"exact"`` for a policy-less run with a lossless ``2w`` budget;
+        ``"rand"``/``"prob"``/``"life"`` for the vectorized policy lanes
+        (see :func:`repro.core.batched.lane_kind_for_policies`).
+        ``None`` means the per-tick or per-tuple loops must run (a
+        ``M < 2w`` policy-less budget that must overflow, an uncovered
+        policy type, online estimators, arrival observers, …).
         """
         from .batched import lane_kind_for_policies
 
+        if self._policy_r is None and self._policy_s is None:
+            return "exact" if self.memory.capacity >= 2 * self.config.window else None
         return lane_kind_for_policies(
             self._policy_r,
             self._policy_s,
@@ -842,8 +643,6 @@ class JoinEngine:
         side: the source broke its ``unit_rate`` declaration, and a
         chunk column has no room for the extra (or missing) arrival.
         """
-        from ..streams.batches import StreamChunk, _encode_column
-
         buf_r: list = []
         buf_s: list = []
         start = 0
@@ -876,8 +675,8 @@ class JoinEngine:
         """The count-only EXACT lane for source input.
 
         Policy-less, uninstrumented source runs that no chunk lane
-        covers (``on_summary``, bursty sources, no ``batch_size``, or a
-        ``M < 2w`` budget that must overflow) reduce to the dictionary
+        covers (``on_summary``, bursty sources, or a ``M < 2w`` budget
+        that must overflow) reduce to the dictionary
         count arithmetic of :func:`repro.core.batched.exact_stream_counts`
         — bounded working state, no record allocation.  ``make soak``
         drives it, and the chunk lane beside it, for millions of ticks.
@@ -930,11 +729,12 @@ class JoinEngine:
         Pair input (``pair`` given) adds what holds per-arrival state:
         survival records, ``materialize`` (an emit sink into the
         result's ``pairs``), ``track_shares``, the memory and window
-        schedules, and per-phase timers when metrics are on; its
-        occupancy series follow ``share_sample_every``.  Source input
-        keeps no per-arrival state: output pairs go to ``emit``,
-        progress goes to ``on_summary``, and the only growing structure
-        is the sampled metrics series of an instrumented run.
+        schedules, and — with ``profile`` and metrics — per-phase
+        timers and occupancy series at ``share_sample_every``; every
+        other instrumented run samples at :meth:`_sample_every`.
+        Source input keeps no per-arrival state: output pairs go to
+        ``emit``, progress goes to ``on_summary``, and the only growing
+        structure is the sampled metrics series of an instrumented run.
         """
         config = self.config
         memory = self.memory
@@ -960,7 +760,6 @@ class JoinEngine:
         timed = obs is not None
 
         departures = pairs = shares = schedule = window_schedule = None
-        phased = False
         if pair is not None:
             if config.track_survival:
                 departures = {"R": [0] * len(pair), "S": [0] * len(pair)}
@@ -971,26 +770,28 @@ class JoinEngine:
                 shares = []
             schedule = _as_schedule(config.memory_schedule)
             window_schedule = _as_schedule(config.window_schedule)
-            phased = timed
-            sample_every = config.share_sample_every
-        else:
-            sample_every = self._sample_every()
 
         run_timer = None
         timers = {}
+        phased = False
+        sample_every = 0
         if timed:
             run_timer = Timer()
             run_timer.start()
             sample = _occupancy_sampler(obs)
+            # ``profile`` (pair input only) adds the per-phase timers
+            # and the ``share_sample_every`` occupancy cadence.
+            phased = config.profile
             if phased:
+                sample_every = config.share_sample_every
                 timers = {
                     "engine/expire": Timer(),
                     "engine/probe": Timer(),
                     "engine/admit": Timer(),
                 }
                 expire_timer, probe_timer, admit_timer = timers.values()
-        else:
-            sample_every = 0
+            else:
+                sample_every = self._sample_every()
 
         output = 0
         total_output = 0

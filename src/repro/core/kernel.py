@@ -23,11 +23,11 @@ per-side drop ledger, trace emission), and the copies drifted.
 
 Engines keep what is genuinely theirs: output counting and warmup
 (which differ per processing model), survival records (fast engine
-only), queue management (modular engines), and the inlined fast loop of
-:meth:`~repro.core.engine.JoinEngine._run_fast`, which bypasses the
-kernel entirely for throughput — a regression test pins it to the
-engine's kernel loop (:meth:`~repro.core.engine.JoinEngine._run_incremental`,
-which serves pair and source input alike).
+only), and queue management (modular engines).  The fast engine's kernel
+loop (:meth:`~repro.core.engine.JoinEngine._run_incremental`, which
+serves pair and source input alike) is also the reference its columnar
+lanes (:mod:`repro.core.batched`), which bypass the kernel for
+throughput, are pinned to by test.
 
 Every kernel instance carries one per-side drop ledger in the shape of
 :func:`~repro.core.results.empty_side_drop_counts`; engines read

@@ -114,18 +114,19 @@ def run_algorithm(
     ``source`` switches the engine-backed algorithms to
     :meth:`~repro.core.engine.JoinEngine.run_stream` over that
     :class:`~repro.streams.sources.Source` (``pair`` still supplies the
-    estimator defaults); ``until`` bounds the streamed run and forces
-    the incremental lane even for a plain ``PairSource`` — the pair of
-    them lets callers pin ``run_stream(PairSource(pair), until=n)``
-    against the pair fast path.  OPT/OPTV are offline solves over the
-    full materialized pair and reject ``source``.
+    estimator defaults); ``until`` bounds the streamed run and makes
+    even a plain ``PairSource`` source input, so
+    ``run_stream(PairSource(pair), until=n)`` can be pinned against
+    the pair path.  Which loop or lane serves either input is the
+    engine's choice (see :meth:`~repro.core.engine.JoinEngine._dispatch`).
+    OPT/OPTV are offline solves over the full materialized pair and
+    reject ``source``.
 
-    ``batch_size`` enables the engines' columnar micro-batch lanes for
-    eligible configurations (see
-    :attr:`~repro.core.engine.EngineConfig.batch_size`);
-    ``force_general`` pins the run to the kernel loop, which
-    lets benchmarks compare instrumented and plain runs on the same
-    execution lane.  Both are ignored by OPT/OPTV.
+    ``batch_size`` sets the chunk size of the engines' columnar lanes
+    (see :attr:`~repro.core.engine.EngineConfig.batch_size`);
+    ``force_general`` pins the run to the kernel loop, which lets tests
+    and benchmarks name the per-tuple side of a comparison.  Both are
+    ignored by OPT/OPTV.
     """
     if until is not None and source is None:
         raise ValueError("until= requires source=")

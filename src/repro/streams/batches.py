@@ -50,7 +50,7 @@ __all__ = [
     "resolve_batch_size",
 ]
 
-#: Chunk size when the caller enables batching without picking one.
+#: Chunk size of the columnar lanes when the caller does not pick one.
 #: Large enough to amortise per-chunk overhead, small enough that the
 #: expiry history stays cache-warm at the paper's window sizes.
 DEFAULT_BATCH_SIZE = 1024

@@ -90,8 +90,8 @@ class PairSource:
     """Adapter presenting a finite :class:`StreamPair` as a source.
 
     Emits exactly one arrival per side per tick — the paper's
-    synchronous model — so the engines' pair-based fast paths and the
-    incremental path see identical traffic.
+    synchronous model — so pair input and source input see identical
+    traffic.
     """
 
     #: One arrival per side per tick, always (the synchronous model) —

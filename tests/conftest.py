@@ -2,10 +2,32 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+import repro.api
+from repro.core.engine import EngineConfig
 from repro.experiments.config import Scale
 from repro.streams.generators import uniform_pair, zipf_pair
+
+
+@pytest.fixture
+def kernel_loop_run():
+    """``repro.api.run`` pinned to the engine's per-tuple kernel loop
+    (``EngineConfig(force_general=True)``): the reference side the
+    columnar lanes, the default path wherever they apply, are checked
+    against."""
+
+    def run(spec, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                repro.api, "EngineConfig",
+                functools.partial(EngineConfig, force_general=True),
+            )
+            return repro.api.run(spec, **kwargs)
+
+    return run
 
 
 @pytest.fixture

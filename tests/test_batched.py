@@ -9,7 +9,9 @@ metrics totals) for every policy, batch size, and shard count.
 
 import pytest
 
-from repro.api import RunSpec, run
+from dataclasses import replace
+
+from repro.api import RunSpec, build_pair, run
 from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.core.batched import exact_chunk_counts, exact_tick_counts
 from repro.core.engine import CapacityExceededError, EngineConfig, JoinEngine
@@ -327,19 +329,51 @@ CORRELATED = dict(correlation="correlated", seed=2)
 #: Without numpy the policy lanes gather priorities per key from the
 #: dicts and RAND draws one scalar at a time.
 NO_NUMPY = None
+#: Odd keys: the default input with the key arriving at tick ``t`` passed
+#: through ``convert(key, t)``.  Columns of anything but integers that
+#: fit one numpy integer dtype fall back to tuples; bools pack with ints
+#: into one int64 column; keys of 2**63 and up alone pack as uint64.
+ODD_KEYS = {
+    "str-keys": lambda key, t: f"k{key}",
+    "float-keys": lambda key, t: key + 0.5,
+    "mixed-keys": lambda key, t: (
+        (key, str(key), float(key), None, (key, "t"))[(key + t) % 5]
+    ),
+    "bool-int-keys": lambda key, t: bool(key) if key < 2 and t % 2 else key,
+    "uint64-keys": lambda key, t: key + 2**63,
+    "beyond-int64-keys": lambda key, t: key + 2**63 if t % 2 else key,
+}
 IDENTITY_INPUTS = (
     [pytest.param(a, {}, id=a) for a in POLICIES]
     + [pytest.param(a, CORRELATED, id=f"{a}-correlated") for a in POLICIES]
     + [pytest.param(a, NO_NUMPY, id=f"{a}-no-numpy") for a in LANE_POLICIES]
+    + [
+        pytest.param(a, {"keys": convert}, id=f"{a}-{name}")
+        for name, convert in ODD_KEYS.items()
+        for a in ("EXACT",) + LANE_POLICIES
+    ]
 )
 
 
+def converted_pair(spec: RunSpec, convert) -> StreamPair:
+    """The spec's pair with every key passed through ``convert``; no
+    generator metadata, so PROB/LIFE tabulate the converted keys."""
+    pair = build_pair(spec)
+    return StreamPair(
+        r=[convert(key, t) for t, key in enumerate(pair.r)],
+        s=[convert(key, t) for t, key in enumerate(pair.s)],
+    )
+
+
 class TestBatchedIdentity:
-    """Batched output is bit-identical to per-tuple for every policy."""
+    """The columnar lanes are bit-identical to the kernel loop for every
+    policy, batch size, and input."""
 
     @pytest.mark.parametrize("algorithm, inputs", IDENTITY_INPUTS)
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_unsharded_identity(self, algorithm, inputs, batch_size, monkeypatch):
+    def test_unsharded_identity(
+        self, algorithm, inputs, batch_size, monkeypatch, kernel_loop_run
+    ):
         if inputs is NO_NUMPY:
             import repro.core.batched_policies as lanes
             import repro.streams.batches as batches
@@ -348,10 +382,13 @@ class TestBatchedIdentity:
             monkeypatch.setattr(batches, "HAVE_NUMPY", False)
             assert not lanes._block_draws_equivalent(SMALL["memory"] + 1)
             inputs = {}
-        baseline = run(small_spec(algorithm, metrics=True, **inputs))
-        batched = run(small_spec(
-            algorithm, metrics=True, batch_size=batch_size, **inputs
-        ))
+        convert = inputs.get("keys")
+        if convert is not None:
+            inputs = {}
+        spec = small_spec(algorithm, metrics=True, **inputs)
+        pair = None if convert is None else converted_pair(spec, convert)
+        baseline = kernel_loop_run(spec, pair=pair)
+        batched = run(replace(spec, batch_size=batch_size), pair=pair)
         assert batched.output_count == baseline.output_count
         assert batched.total_output_count == baseline.total_output_count
         assert batched.drop_counts == baseline.drop_counts
@@ -369,16 +406,16 @@ class TestBatchedIdentity:
         assert batched.output_count == baseline.output_count
         assert batched.drop_counts == baseline.drop_counts
 
-    def test_exact_departures_and_survival_identity(self):
-        baseline = run(small_spec("EXACT"))
+    def test_exact_departures_and_survival_identity(self, kernel_loop_run):
+        baseline = kernel_loop_run(small_spec("EXACT"))
         batched = run(small_spec("EXACT", batch_size=32))
         assert batched.r_departures == baseline.r_departures
         assert batched.s_departures == baseline.s_departures
 
     @pytest.mark.parametrize("seed", (0, 1, 2, 11, 42))
-    def test_exact_seed_sweep(self, seed):
-        baseline = run(small_spec("EXACT", seed=seed))
-        for batch_size in BATCH_SIZES:
+    def test_exact_seed_sweep(self, seed, kernel_loop_run):
+        baseline = kernel_loop_run(small_spec("EXACT", seed=seed))
+        for batch_size in BATCH_SIZES + (None,):
             batched = run(small_spec("EXACT", seed=seed, batch_size=batch_size))
             assert batched.output_count == baseline.output_count
             assert batched.total_output_count == baseline.total_output_count
@@ -415,10 +452,11 @@ def exact_engine(batch_size=None, memory=2 * SOURCE_WINDOW, **config):
 
 
 class TestExactChunkLaneOnSources:
-    """Batched EXACT on a unit-rate source runs ``exact_chunk_counts``
-    over re-chunked source events and matches the pair path exactly."""
+    """EXACT on a unit-rate source runs ``exact_chunk_counts`` over
+    re-chunked source events, with or without ``batch_size``, and matches
+    the kernel loop on the materialized pair exactly."""
 
-    @pytest.mark.parametrize("batch_size", (1, 7, 4096, SOURCE_TICKS + 1))
+    @pytest.mark.parametrize("batch_size", (1, 7, 4096, SOURCE_TICKS + 1, None))
     @pytest.mark.parametrize("count_simultaneous", (True, False))
     @pytest.mark.parametrize("bounded", (True, False), ids=("length", "until"))
     def test_matches_pair_path(
@@ -429,9 +467,9 @@ class TestExactChunkLaneOnSources:
             40, 1.0, correlation="correlated", seed=13,
             length=SOURCE_TICKS if bounded else None,
         )
-        expected = exact_engine(count_simultaneous=count_simultaneous).run(
-            take_pair(source, SOURCE_TICKS)
-        )
+        expected = exact_engine(
+            count_simultaneous=count_simultaneous, force_general=True
+        ).run(take_pair(source, SOURCE_TICKS))
         lanes = spy_exact_lanes(monkeypatch)
         streamed = exact_engine(
             batch_size, count_simultaneous=count_simultaneous

@@ -512,6 +512,14 @@ class TestServeCommand:
         assert code == 2
         assert "--replay" in capsys.readouterr().err
 
+    def test_batch_size_is_not_a_serve_option(self, capsys):
+        # serve always passes on_summary, so no chunk lane could use it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--source", "zipf", "--length", "100",
+                  "--batch-size", "64"])
+        assert exit_info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
     @pytest.mark.parametrize("engine", ["fast", "async"])
     def test_exact_overflow_exits_2_with_a_hint(self, engine, capsys):
         # Poisson bursts overflow EXACT's fixed 2w budget (here at t=738):

@@ -224,15 +224,36 @@ class TestAccountingDetails:
             result.share_fraction_r()
 
 
-class TestFastLoopDispatch:
-    """The inlined fast loop must be observationally identical to the
-    fully-featured general loop — same outputs, drops, and survival
-    records — with or without a metrics registry attached."""
+#: sha256 of the counters, gauges and series of an instrumented ARM and
+#: FIFO pair run (``zipf_pair(600, 40, 1.0, seed=3)``, w=25, M=12, seed
+#: 3).  No lane covers these policies, so the kernel loop serves them; a
+#: run without ``profile`` must keep this snapshot (occupancy sampled
+#: every ``max(1, w // 8)`` ticks, no per-phase timers).
+UNCOVERED_SNAPSHOTS = {
+    "ARM": "bfc7b3823a17241647bf4cf23ffa69ba1e90a1f297898b4691336277af8cd2d6",
+    "FIFO": "4529d28f47e578bdf88a0ca9a90a62e12445d38cee2c3d90b2195ebeec6b6933",
+}
+
+
+def metrics_digest(snapshot) -> str:
+    import hashlib
+    import json
+
+    body = {key: snapshot[key] for key in ("counters", "gauges", "series")}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+class TestLanesMatchKernelLoop:
+    """The default path of a pair run — a columnar lane wherever one
+    covers the policy — must be observationally identical to the kernel
+    loop (``force_general``): same outputs, drops, survival records, and
+    metrics, with or without a metrics registry attached."""
 
     ALGORITHMS = ("RAND", "PROB", "PROBV", "LIFE")
 
     def _run(self, name, pair, **kwargs):
-        return run_algorithm(name, pair, 25, 12, seed=3, **kwargs)
+        return run_algorithm(name, pair, 25, 12, seed=3, track_survival=True,
+                             **kwargs)
 
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_plain_metrics_and_general_agree(self, name):
@@ -241,13 +262,61 @@ class TestFastLoopDispatch:
         pair = zipf_pair(600, 40, 1.0, seed=3)
         plain = self._run(name, pair)
         timed = self._run(name, pair, metrics=MetricsRegistry())
-        # materialize=True forces the general loop (it collects pairs).
-        general = self._run(name, pair, materialize=True)
-        for other in (timed, general):
+        general = self._run(name, pair, force_general=True)
+        general_timed = self._run(
+            name, pair, force_general=True, metrics=MetricsRegistry()
+        )
+        assert plain.r_departures is not None
+        for other in (timed, general, general_timed):
             assert plain.output_count == other.output_count
             assert plain.drop_breakdown() == other.drop_breakdown()
             assert plain.r_departures == other.r_departures
             assert plain.s_departures == other.s_departures
+        for key in ("counters", "gauges", "series"):
+            assert timed.metrics[key] == general_timed.metrics[key]
+
+    @pytest.mark.parametrize("name", sorted(UNCOVERED_SNAPSHOTS))
+    def test_uncovered_policies_keep_their_metrics(self, name):
+        from repro.obs import MetricsRegistry
+
+        pair = zipf_pair(600, 40, 1.0, seed=3)
+        snapshot = run_algorithm(
+            name, pair, 25, 12, seed=3, metrics=MetricsRegistry()
+        ).metrics
+        # No per-phase timers without ``profile``, and the occupancy
+        # series sampled every max(1, w // 8) = 3 ticks, not every tick.
+        assert [phase["path"] for phase in snapshot["phases"]] == ["engine/run"]
+        assert {len(s["points"]) for s in snapshot["series"]} == {
+            len(range(0, len(pair), 3))
+        }
+        assert metrics_digest(snapshot) == UNCOVERED_SNAPSHOTS[name]
+
+    @pytest.mark.parametrize("name", ("ARM", "PROB"))
+    def test_profile_adds_phase_timers_and_share_cadence(self, name):
+        from repro.core.policies import make_policy_spec
+        from repro.obs import MetricsRegistry
+
+        pair = zipf_pair(300, 40, 1.0, seed=3)
+        estimators = estimators_for(pair)
+
+        def snapshot(**overrides):
+            config = EngineConfig(window=25, memory=12, **overrides)
+            policy = make_policy_spec(
+                name, estimators=estimators, window=25, seed=3
+            )
+            engine = JoinEngine(config, policy=policy, metrics=MetricsRegistry())
+            return engine.run(pair).metrics
+
+        profiled = snapshot(profile=True, share_sample_every=2)
+        assert {phase["path"] for phase in profiled["phases"]} == {
+            "engine/run", "engine/expire", "engine/probe", "engine/admit"
+        }
+        assert {len(s["points"]) for s in profiled["series"]} == {150}
+        # Features that only need tuple granularity do not profile.
+        for overrides in ({"materialize": True}, {"force_general": True}):
+            plain = snapshot(**overrides)
+            assert [phase["path"] for phase in plain["phases"]] == ["engine/run"]
+            assert {len(s["points"]) for s in plain["series"]} == {100}
 
     def test_metrics_counters_match_result(self):
         from repro.obs import MetricsRegistry

@@ -37,11 +37,11 @@ from repro.streams.sources import DriftingZipfSource, ZipfSource
 SMALL = dict(window=20, memory=10, length=400, seed=3)
 LANE_POLICIES = ("RAND", "RANDV", "PROB", "PROBV", "LIFE", "LIFEV")
 LANE_FUNCTIONS = {"rand": "rand_chunk_run", "prob": "prob_chunk_run",
-                  "life": "life_chunk_run"}
+                  "life": "life_chunk_run", "exact": "exact_chunk_counts"}
 
 
 def spy_lanes(monkeypatch) -> list:
-    """Record the kind of every policy-lane call (the engine looks the
+    """Record the kind of every chunk-lane call (the engine looks the
     lane functions up in ``repro.core.batched`` at call time)."""
     import repro.core.batched as batched
 
@@ -123,6 +123,25 @@ class TestLaneGating:
         run(small_spec(algorithm, batch_size=64))
         assert lanes == [algorithm.rstrip("V").lower()]
 
+    @pytest.mark.parametrize("algorithm", ("EXACT",) + LANE_POLICIES)
+    def test_pair_lane_is_the_default(self, algorithm, monkeypatch):
+        # No batch_size: it only sizes the chunks, it never picks the path.
+        lanes = spy_lanes(monkeypatch)
+        run(small_spec(algorithm))
+        assert lanes == [algorithm.rstrip("V").lower()]
+
+    @pytest.mark.parametrize("algorithm, overrides", [
+        ("ARM", {}),
+        ("FIFO", {}),
+        ("PROB", {"estimator": "ewma"}),
+        ("LIFEV", {"estimator": "ewma"}),
+    ])
+    def test_uncovered_pair_runs_reach_no_lane(
+        self, algorithm, overrides, monkeypatch
+    ):
+        forbid_lanes(monkeypatch, f"{algorithm} {overrides} must stay per-tuple")
+        run(small_spec(algorithm, **overrides))
+
     def test_arm_never_takes_a_lane(self, monkeypatch):
         forbid_lanes(monkeypatch, "ARM must stay per-tuple")
         run(small_spec("ARM", batch_size=64))
@@ -145,19 +164,21 @@ class TestStreamingPolicyLanes:
 
     @pytest.mark.parametrize("algorithm", LANE_POLICIES)
     @pytest.mark.parametrize("batch_size", (7, 64))
-    def test_zipf_source_matches_incremental(self, algorithm, batch_size):
+    def test_zipf_source_matches_incremental(
+        self, algorithm, batch_size, kernel_loop_run
+    ):
         source = ZipfSource(30, 1.0, seed=11, length=1200)
-        baseline = run(self._source_spec(algorithm, source))
+        baseline = kernel_loop_run(self._source_spec(algorithm, source))
         batched = run(self._source_spec(algorithm, source, batch_size=batch_size))
         assert fingerprint(batched) == fingerprint(baseline)
 
     @pytest.mark.parametrize("algorithm", ("PROB", "LIFEV"))
-    def test_drifting_source_matches_incremental(self, algorithm):
+    def test_drifting_source_matches_incremental(self, algorithm, kernel_loop_run):
         # The oracle tables come from phase 0 and go stale as the
         # distribution drifts — the lane must reproduce the per-tuple
         # decisions of those same stale tables, not "better" ones.
         source = DriftingZipfSource(30, 1.2, phase_length=300, seed=4, length=1500)
-        baseline = run(self._source_spec(algorithm, source))
+        baseline = kernel_loop_run(self._source_spec(algorithm, source))
         batched = run(self._source_spec(algorithm, source, batch_size=64))
         assert fingerprint(batched) == fingerprint(baseline)
 
@@ -274,7 +295,7 @@ class TestTableUpdateInvalidation:
         pair = build_pair(small_spec(algorithm))
         window = SMALL["window"]
 
-        def engine_run(est, batch_size=None):
+        def engine_run(est, batch_size=None, force_general=True):
             if algorithm == "PROB":
                 policy = SidePolicies(r=ProbPolicy(est), s=ProbPolicy(est))
             else:
@@ -283,6 +304,7 @@ class TestTableUpdateInvalidation:
                 )
             config = EngineConfig(
                 window=window, memory=SMALL["memory"], batch_size=batch_size,
+                force_general=force_general,
             )
             return JoinEngine(config, policy=policy).run(pair)
 
@@ -291,7 +313,9 @@ class TestTableUpdateInvalidation:
         est["R"].update(self.DIST_B)
         est["S"].update(self.DIST_B)
         updated = fingerprint(engine_run(est))
-        updated_batched = fingerprint(engine_run(est, batch_size=64))
+        updated_batched = fingerprint(
+            engine_run(est, batch_size=64, force_general=False)
+        )
         rebuilt = fingerprint(engine_run(tables_for(self.DIST_B, self.DIST_B)))
 
         assert updated == rebuilt

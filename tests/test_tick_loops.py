@@ -203,13 +203,18 @@ class TestAsyncTickLoop:
 # ----------------------------------------------------------------------
 
 class CountingSource:
-    """An unbounded unit-rate source that counts the ticks pulled from it."""
+    """An unbounded source that counts the ticks pulled from it.
 
-    unit_rate = True
+    It always yields one arrival per side per tick; ``unit_rate=False``
+    only withholds the declaration, which keeps the synchronous engine
+    off its chunk lanes.
+    """
+
     length = None
 
-    def __init__(self) -> None:
+    def __init__(self, unit_rate: bool = True) -> None:
         self.inner = ZipfSource(12, 1.0, seed=31)
+        self.unit_rate = unit_rate
         self.pulls = 0
 
     def __iter__(self):
@@ -218,21 +223,25 @@ class CountingSource:
             yield event
 
 
-#: path -> (engine, algorithm, batch_size, lane function expected to run)
+#: path -> (engine, algorithm, batch_size, unit_rate, lane function
+#: expected to run)
 PULL_PATHS = {
-    "sync-kernel-loop": ("fast", "PROB", None, None),
-    "sync-exact-lane": ("fast", "EXACT", None, "exact_stream_counts"),
-    "sync-exact-chunk-lane": ("fast", "EXACT", 64, "exact_chunk_counts"),
-    "sync-policy-lane": ("fast", "PROB", 64, "prob_chunk_run"),
-    "async-loop": ("async", "PROB", None, None),
-    "async-exact-lane": ("async", "EXACT", None, "exact_stream_counts"),
+    "sync-kernel-loop": ("fast", "PROB", None, False, None),
+    "sync-exact-lane": ("fast", "EXACT", None, False, "exact_stream_counts"),
+    "sync-exact-chunk-lane": ("fast", "EXACT", 64, True, "exact_chunk_counts"),
+    "sync-exact-chunk-lane-default-size": (
+        "fast", "EXACT", None, True, "exact_chunk_counts"
+    ),
+    "sync-policy-lane": ("fast", "PROB", 64, True, "prob_chunk_run"),
+    "async-loop": ("async", "PROB", None, True, None),
+    "async-exact-lane": ("async", "EXACT", None, True, "exact_stream_counts"),
 }
 
 
 def _pull_run(monkeypatch, path, **bounds):
     import repro.core.batched as batched
 
-    engine_kind, algorithm, batch_size, lane = PULL_PATHS[path]
+    engine_kind, algorithm, batch_size, unit_rate, lane = PULL_PATHS[path]
     lanes = []
     for name in ("exact_stream_counts", "exact_chunk_counts", "prob_chunk_run"):
         def spy(*args, _name=name, _fn=getattr(batched, name), **kwargs):
@@ -254,7 +263,7 @@ def _pull_run(monkeypatch, path, **bounds):
         engine = AsyncJoinEngine(
             AsyncEngineConfig(window=WINDOW, memory=memory), policy=policy
         )
-    source = CountingSource()
+    source = CountingSource(unit_rate)
     result = engine.run_stream(source, **bounds)
     assert lanes == ([lane] if lane else [])
     ticks = result.length if engine_kind == "fast" else result.ticks
