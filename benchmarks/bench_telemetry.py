@@ -132,13 +132,10 @@ def build_obs_snapshot(
     # Each retry pass keeps its own pair of minima and the best pass
     # wins: a cumulative min would let one lucky fast off-round poison
     # every subsequent pass with an inflated ratio.
-    # Both timing legs carry a metrics registry: an uninstrumented
-    # EXACT shard now takes the columnar count lane (several times
-    # faster than the per-tick kernel path telemetry's heartbeat hooks
-    # require), so a bare off-leg would measure the lane difference,
-    # not telemetry.  Attaching metrics to both sides pins them to the
-    # same per-tick path and the ratio isolates the telemetry plane
-    # again.
+    # Both timing legs carry a metrics registry.  Neither metrics nor
+    # the heartbeat hook chooses the path any more — an EXACT shard
+    # runs the count lane either way — so the two legs differ only by
+    # the telemetry plane, measured on an instrumented run.
     timing_off = replace(spec_off, metrics=True)
     timing_on = replace(spec_on, metrics=True)
     best_off = best_on = None

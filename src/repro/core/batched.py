@@ -42,6 +42,7 @@ Their regression gate is ``benchmarks/bench_policy_batch.py``.
 from __future__ import annotations
 
 from collections import deque
+from sys import maxsize
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..streams.batches import StreamChunk
@@ -55,6 +56,7 @@ from .batched_policies import (
 )
 
 __all__ = [
+    "ExactStreamState",
     "LaneTotals",
     "exact_chunk_counts",
     "exact_stream_counts",
@@ -189,6 +191,45 @@ def exact_tick_counts(
     )[:5]
 
 
+class ExactStreamState:
+    """The resumable state of one :func:`exact_stream_counts` run.
+
+    A caller that passes ``state=`` reads it inside ``on_tick`` (the
+    lane writes its counters back before each call) and after the run;
+    a state rebuilt from a checkpoint resumes the run at ``tick + 1``.
+    ``r_queue``/``s_queue`` hold each side's residents as ``(arrival,
+    key)`` in admission order.  ``batch_min``/``batch_max`` are the
+    extremes of the per-tick arrival count over the ticks this state
+    has run, kept only by sampled runs (``None`` before the first
+    such tick).
+    """
+
+    __slots__ = (
+        "tick",
+        "output",
+        "total_output",
+        "arrivals",
+        "expired_r",
+        "expired_s",
+        "r_queue",
+        "s_queue",
+        "batch_min",
+        "batch_max",
+    )
+
+    def __init__(self) -> None:
+        self.tick = -1
+        self.output = 0
+        self.total_output = 0
+        self.arrivals = 0
+        self.expired_r = 0
+        self.expired_s = 0
+        self.r_queue: deque = deque()
+        self.s_queue: deque = deque()
+        self.batch_min: Optional[int] = None
+        self.batch_max: Optional[int] = None
+
+
 def exact_stream_counts(
     events: Iterable,
     window: int,
@@ -202,6 +243,11 @@ def exact_stream_counts(
     stop: Optional[Callable[[], bool]] = None,
     on_progress: Optional[Callable] = None,
     progress_every: int = 0,
+    state: Optional[ExactStreamState] = None,
+    on_tick: Optional[Callable[[int], None]] = None,
+    on_tick_every: int = 1,
+    sample: Optional[Callable] = None,
+    sample_every: int = 0,
 ) -> tuple[int, int, int, int, int, int]:
     """Run the EXACT join incrementally over per-tick arrival batches.
 
@@ -228,21 +274,36 @@ def exact_stream_counts(
     expired_s)`` fires after every ``progress_every`` ticks — the
     rolling-summary hook.
 
+    The asynchronous engine's hooks ride on ``state`` (see
+    :class:`ExactStreamState`; a fresh one when ``None``, else the run
+    continues from it — ``events`` must then start at ``state.tick +
+    1``).  ``on_tick(t)`` fires after tick ``t`` completes wherever ``t
+    % on_tick_every == 0``, with ``state`` current.  ``sample(t,
+    r_size, s_size)`` records occupancy wherever ``t % sample_every ==
+    0``, and a sampled run also keeps ``state.batch_min``/``batch_max``
+    (the metrics the engine flushes).  Tick grids are absolute, so a
+    resumed run fires on the same ticks.
+
     Returns ``(output, total_output, arrivals, expired_r, expired_s,
     ticks)``.
     """
+    if state is None:
+        state = ExactStreamState()
+    r_queue = state.r_queue
+    s_queue = state.s_queue
     r_counts: dict = {}
     s_counts: dict = {}
-    r_queue: deque = deque()
-    s_queue: deque = deque()
+    for counts, queue in ((r_counts, r_queue), (s_counts, s_queue)):
+        for _, key in queue:
+            counts[key] = counts.get(key, 0) + 1
 
-    output = 0
-    total_output = 0
-    arrivals = 0
-    expired_r = 0
-    expired_s = 0
-    r_size = 0
-    s_size = 0
+    output = state.output
+    total_output = state.total_output
+    arrivals = state.arrivals
+    expired_r = state.expired_r
+    expired_s = state.expired_s
+    r_size = len(r_queue)
+    s_size = len(s_queue)
 
     r_get = r_counts.get
     s_get = s_counts.get
@@ -251,7 +312,19 @@ def exact_stream_counts(
     if on_progress is None:
         progress_every = 0
 
-    t = -1
+    t = state.tick
+    # Hook and sample ticks are tracked as next-tick pointers (one int
+    # compare per tick; -1 never matches), starting at the first grid
+    # tick at or after this run's first tick.
+    first = t + 1
+    hook_next = first + (-first % on_tick_every) if on_tick is not None else -1
+    sampled = sample is not None
+    sample_next = first + (-first % sample_every) if sampled else -1
+    # Batch-size extremes; the sentinels leave the state's None alone
+    # when no tick was tracked.
+    batch_min = state.batch_min if state.batch_min is not None else maxsize
+    batch_max = state.batch_max if state.batch_max is not None else -1
+
     for r_batch, s_batch in bounded_events(events, until, stop):
         t += 1
         horizon = t - window
@@ -316,7 +389,44 @@ def exact_stream_counts(
             total_output -= cross
             if t >= warmup:
                 output -= cross
+        if sampled:
+            size = len(r_batch) + len(s_batch)
+            if size < batch_min:
+                batch_min = size
+            if size > batch_max:
+                batch_max = size
+        if t == sample_next:
+            sample_next = t + sample_every
+            sample(t, r_size, s_size)
         if progress_every and (t + 1) % progress_every == 0:
             on_progress(t, output, total_output, arrivals, expired_r, expired_s)
+        if t == hook_next:
+            hook_next = t + on_tick_every
+            _write_back(
+                state, t, output, total_output, arrivals, expired_r, expired_s,
+                batch_min, batch_max,
+            )
+            on_tick(t)
 
+    _write_back(
+        state, t, output, total_output, arrivals, expired_r, expired_s,
+        batch_min, batch_max,
+    )
     return output, total_output, arrivals, expired_r, expired_s, t + 1
+
+
+def _write_back(
+    state, t, output, total_output, arrivals, expired_r, expired_s,
+    batch_min, batch_max,
+) -> None:
+    """Store :func:`exact_stream_counts`' loop locals into ``state``
+    (a ``batch_max`` below zero means no tick tracked batch sizes)."""
+    state.tick = t
+    state.output = output
+    state.total_output = total_output
+    state.arrivals = arrivals
+    state.expired_r = expired_r
+    state.expired_s = expired_s
+    if batch_max >= 0:
+        state.batch_min = batch_min
+        state.batch_max = batch_max

@@ -147,10 +147,10 @@ class EngineConfig:
         budget) and the vectorized policy lanes for RAND, PROB, and
         LIFE with static probability tables (fixed or variable
         allocation) — on pair input and on unit-rate sources run
-        without ``on_summary`` or metrics alike.  A tracer, schedule,
-        validation hook, rolling-summary callback, arrival observer
-        (online estimators), or an uncovered policy (ARM, FIFO) takes
-        the per-tick or per-tuple path instead.
+        without ``on_summary`` alike, metrics or not.  A tracer,
+        schedule, validation hook, rolling-summary callback, arrival
+        observer (online estimators), or an uncovered policy (ARM,
+        FIFO) takes the per-tick or per-tuple path instead.
     force_general:
         Route the run through the kernel loop (the one per-tuple
         reference loop), on pair and source input alike, even when a
@@ -409,12 +409,13 @@ class JoinEngine:
         granularity and run the kernel loop (:meth:`_run_incremental`).
         Otherwise a columnar lane runs whenever one covers the
         configuration (:meth:`_lane_kind`): always on pair input, and on
-        uninstrumented source input over :meth:`_chunks_from_source`
-        when the source is unit-rate and no ``on_summary`` is set.
-        Failing that, policy-less source input takes the per-tick
-        count-only EXACT lane (:meth:`_run_exact_stream`, which also
-        raises the overflow of a ``M < 2w`` run), and everything else
-        the kernel loop.  ``batch_size`` only sizes the chunks.
+        source input, with or without metrics, over
+        :meth:`_chunks_from_source` when the source is unit-rate and no
+        ``on_summary`` is set.  Failing that, uninstrumented policy-less
+        source input takes the per-tick count-only EXACT lane
+        (:meth:`_run_exact_stream`, which also raises the overflow of a
+        ``M < 2w`` run), and everything else the kernel loop.
+        ``batch_size`` only sizes the chunks.
         """
         config = self.config
         obs = active_or_none(self.metrics)
@@ -441,15 +442,15 @@ class JoinEngine:
             return self._run_lane(kind, chunks, obs, len(pair))
 
         events = bounded_events(source, until, stop)
-        if obs is None and not per_tuple:
+        if not per_tuple:
             chunked = on_summary is None and getattr(source, "unit_rate", False)
             kind = self._lane_kind() if chunked else None
             if kind is not None:
                 chunks = self._chunks_from_source(
                     events, config.batch_size or DEFAULT_BATCH_SIZE
                 )
-                return self._run_lane(kind, chunks, None, None)
-            if self._policy_r is None and self._policy_s is None:
+                return self._run_lane(kind, chunks, obs, None)
+            if obs is None and self._policy_r is None and self._policy_s is None:
                 return self._run_exact_stream(events, on_summary, stride)
         return self._run_incremental(
             events, obs, tracer, None, emit, on_summary, stride

@@ -50,7 +50,9 @@ def shard_of(key: Hashable, shards: int) -> int:
     Integer keys partition by residue (cheap, and spreads the dense
     synthetic domains evenly); everything else hashes its string form
     through ``crc32`` — stable across processes and Python runs, unlike
-    the builtin ``hash``.
+    the builtin ``hash``.  The per-key split loops of this module
+    compute the residue of a plain ``int`` (``type(key) is int``)
+    inline and call this function for every other key.
     """
     if isinstance(key, int) and not isinstance(key, bool):
         return key % shards
@@ -83,12 +85,18 @@ def shard_batches(
 
     if isinstance(pair, PairSource):
         pair = pair.pair
+    # Plain ints take shard_of's residue inline (a call per key costs
+    # more than the test); every other key type goes through shard_of.
     r_batches = [
-        (key,) if shard_of(key, shards) == shard else EMPTY_BATCH
+        (key,)
+        if (key % shards if type(key) is int else shard_of(key, shards)) == shard
+        else EMPTY_BATCH
         for key in pair.r
     ]
     s_batches = [
-        (key,) if shard_of(key, shards) == shard else EMPTY_BATCH
+        (key,)
+        if (key % shards if type(key) is int else shard_of(key, shards)) == shard
+        else EMPTY_BATCH
         for key in pair.s
     ]
     return r_batches, s_batches
@@ -124,12 +132,22 @@ class ShardedSource:
         shards = self.shards
         for r_batch, s_batch in self.source:
             r_mine = (
-                tuple(key for key in r_batch if shard_of(key, shards) == shard)
+                tuple(
+                    key
+                    for key in r_batch
+                    if (key % shards if type(key) is int
+                        else shard_of(key, shards)) == shard
+                )
                 if r_batch
                 else EMPTY_BATCH
             )
             s_mine = (
-                tuple(key for key in s_batch if shard_of(key, shards) == shard)
+                tuple(
+                    key
+                    for key in s_batch
+                    if (key % shards if type(key) is int
+                        else shard_of(key, shards)) == shard
+                )
                 if s_batch
                 else EMPTY_BATCH
             )
@@ -148,10 +166,9 @@ def shard_source(source, shard: int, shards: int) -> ShardedSource:
 def shard_weights(pair: StreamPair, shards: int) -> list[int]:
     """Arrival mass per shard (both streams), for weighted budget splits."""
     weights = [0] * shards
-    for key in pair.r:
-        weights[shard_of(key, shards)] += 1
-    for key in pair.s:
-        weights[shard_of(key, shards)] += 1
+    for keys in (pair.r, pair.s):
+        for key in keys:
+            weights[key % shards if type(key) is int else shard_of(key, shards)] += 1
     return weights
 
 
@@ -164,8 +181,14 @@ def shard_input_counts(
     drop ledger — every input tuple the abandoned sub-join would have
     seen, attributed as shed by the system.
     """
-    r_count = sum(1 for key in pair.r if shard_of(key, shards) == shard)
-    s_count = sum(1 for key in pair.s if shard_of(key, shards) == shard)
+    r_count, s_count = (
+        sum(
+            1
+            for key in keys
+            if (key % shards if type(key) is int else shard_of(key, shards)) == shard
+        )
+        for keys in (pair.r, pair.s)
+    )
     return r_count, s_count
 
 

@@ -106,6 +106,16 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
+    def merge(self, count: int, total: float, low, high) -> None:
+        """Fold in another summary's ``count``/``sum``/``min``/``max``
+        (``None`` extremes, as an empty summary has, change nothing)."""
+        self.count += count
+        self.sum += total
+        if low is not None and (self.min is None or low < self.min):
+            self.min = low
+        if high is not None and (self.max is None or high > self.max):
+            self.max = high
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -325,17 +335,9 @@ class MetricsRegistry:
         for entry in data.get("gauges", ()):
             self.gauge(entry["name"], **entry["labels"]).set(entry["value"])
         for entry in data.get("histograms", ()):
-            histogram = self.histogram(entry["name"], **entry["labels"])
-            histogram.count += entry["count"]
-            histogram.sum += entry["sum"]
-            if entry["min"] is not None and (
-                histogram.min is None or entry["min"] < histogram.min
-            ):
-                histogram.min = entry["min"]
-            if entry["max"] is not None and (
-                histogram.max is None or entry["max"] > histogram.max
-            ):
-                histogram.max = entry["max"]
+            self.histogram(entry["name"], **entry["labels"]).merge(
+                entry["count"], entry["sum"], entry["min"], entry["max"]
+            )
         for entry in data.get("series", ()):
             series = self.series(entry["name"], **entry["labels"])
             series.points.extend(tuple(point) for point in entry["points"])

@@ -13,10 +13,17 @@ mid-save leaves the previous checkpoint intact.  Payloads are pickled:
 join keys are arbitrary hashable objects and RNG states are numpy
 structures — JSON would need a parallel encoding for no benefit, and
 checkpoints are private scratch, not an interchange format.
+
+A file is :data:`MAGIC`, the SHA-256 digest of the pickle, then the
+pickle.  :meth:`CheckpointStore.load` checks the digest before
+unpickling, so damaged bytes never reach the unpickler — which can do
+more than fail on them: one flipped opcode byte can make it grow its
+memo table to gigabytes before it notices anything is wrong.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import re
@@ -28,9 +35,26 @@ from typing import Optional
 from ..core.results import SCHEMA_VERSION
 from ..obs import telemetry as _telemetry
 
-__all__ = ["CheckpointStore"]
+__all__ = ["CheckpointStore", "MAGIC", "RESUME_KEYS"]
+
+#: Leading bytes of a checkpoint file (format tag; the digest follows).
+MAGIC = b"REPROCK1"
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]+")
+
+#: The keys of an engine checkpoint (``AsyncJoinEngine.checkpoint()``)
+#: that resuming reads; a state without all of them is unusable.
+RESUME_KEYS = (
+    "tick",
+    "output",
+    "total_output",
+    "arrivals",
+    "sequence",
+    "kernel",
+    "policies",
+    "metrics",
+)
 
 
 class CheckpointStore:
@@ -62,8 +86,9 @@ class CheckpointStore:
             dir=str(self.root), prefix=path.name, suffix=".tmp"
         )
         try:
+            body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(MAGIC + hashlib.sha256(body).digest() + body)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -79,16 +104,30 @@ class CheckpointStore:
     def load(self, key: str, *, fingerprint: str) -> Optional[dict]:
         """The saved state for ``key``, or ``None`` when absent/unusable.
 
-        Corrupt files, schema mismatches, and fingerprint mismatches all
-        collapse to ``None`` — resuming from nothing is always safe.
+        Unreadable files, a wrong header or digest, any exception while
+        unpickling, schema and fingerprint mismatches, and states
+        missing any of :data:`RESUME_KEYS` all collapse to ``None`` —
+        resuming from nothing is always safe.
         """
-        path = self.path_for(key)
-        if not path.exists():
+        try:
+            data = self.path_for(key).read_bytes()
+        except OSError:
+            return None
+        start = len(MAGIC) + _DIGEST_SIZE
+        body = data[start:]
+        if (
+            data[: len(MAGIC)] != MAGIC
+            or data[len(MAGIC):start] != hashlib.sha256(body).digest()
+        ):
             return None
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            payload = pickle.loads(body)
+        except Exception:
+            # An intact file can still fail to unpickle (a class that
+            # moved or vanished since it was written, ...); damaged
+            # pickles raise MemoryError, ValueError, OverflowError,
+            # UnicodeDecodeError, TypeError and more.  Any of them
+            # means "unusable".
             return None
         if not isinstance(payload, dict):
             return None
@@ -97,8 +136,9 @@ class CheckpointStore:
         if payload.get("fingerprint") != fingerprint:
             return None
         state = payload.get("state")
-        if isinstance(state, dict):
-            _telemetry.checkpoint_restored(tick=state.get("tick"), key=key)
+        if not isinstance(state, dict) or not all(k in state for k in RESUME_KEYS):
+            return None
+        _telemetry.checkpoint_restored(tick=state.get("tick"), key=key)
         return state
 
     def clear(self, key: str) -> None:

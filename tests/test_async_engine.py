@@ -132,11 +132,13 @@ class TestBurstyArrivals:
 
     @pytest.mark.parametrize("metrics", [None, MetricsRegistry()])
     def test_overflow_is_a_capacity_error_on_both_paths(self, metrics):
-        # metrics=None takes the count-only lane, a registry the kernel loop.
+        # validate=False takes the count-only lane, validate=True the
+        # kernel loop; metrics choose neither.
         batches = [[1, 2, 3]] * 4, [[]] * 4
-        config = AsyncEngineConfig(window=20, memory=4)
-        with pytest.raises(CapacityExceededError, match="overflow at t=0"):
-            AsyncJoinEngine(config, metrics=metrics).run(*batches)
+        for validate in (False, True):
+            config = AsyncEngineConfig(window=20, memory=4, validate=validate)
+            with pytest.raises(CapacityExceededError, match="overflow at t=0"):
+                AsyncJoinEngine(config, metrics=metrics).run(*batches)
 
 
 class TestAsyncFuzzAgainstReference:

@@ -160,9 +160,9 @@ class TestExactTickCounts:
             exact_tick_counts(r, s, 10, 0, capacity=4, variable=False)
 
     def test_agrees_with_kernel_path(self):
-        # The async engine only takes the count lane when completely
-        # uninstrumented; attaching a metrics registry forces the kernel
-        # path — both must agree on every counter and the ledger.
+        # validate=True pins the async engine to its kernel loop; the
+        # count lane (metrics or not) must agree with it on every
+        # counter and the ledger.
         pair = zipf_pair(90, 5, 1.0, seed=7)
         r_keys, s_keys = list(pair.r), list(pair.s)
         r_batches, s_batches = [], []
@@ -172,10 +172,12 @@ class TestExactTickCounts:
             del r_keys[:3], s_keys[:2]
         config = AsyncEngineConfig(window=12, memory=200, variable=True, warmup=5)
 
-        lane = AsyncJoinEngine(config).run(r_batches, s_batches)
-        kernel = AsyncJoinEngine(config, metrics=MetricsRegistry()).run(
+        lane = AsyncJoinEngine(config, metrics=MetricsRegistry()).run(
             r_batches, s_batches
         )
+        kernel = AsyncJoinEngine(
+            replace(config, validate=True), metrics=MetricsRegistry()
+        ).run(r_batches, s_batches)
         assert lane.output_count == kernel.output_count
         assert lane.total_output_count == kernel.total_output_count
         assert lane.arrivals == kernel.arrivals
@@ -188,7 +190,7 @@ class TestExactTickCounts:
         with pytest.raises(RuntimeError) as lane_err:
             AsyncJoinEngine(config).run(r_batches, s_batches)
         with pytest.raises(RuntimeError) as kernel_err:
-            AsyncJoinEngine(config, metrics=MetricsRegistry()).run(
+            AsyncJoinEngine(replace(config, validate=True)).run(
                 r_batches, s_batches
             )
         assert str(lane_err.value) == str(kernel_err.value)

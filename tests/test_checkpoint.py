@@ -1,6 +1,8 @@
 """Checkpoint/restore: store semantics and bit-identical resumption."""
 
+import hashlib
 import pickle
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.results import SCHEMA_VERSION
 from repro.experiments.runner import estimators_for
 from repro.obs import MetricsRegistry
 from repro.runtime import CheckpointStore
+from repro.runtime.checkpoint import MAGIC, RESUME_KEYS
 from repro.streams import zipf_pair
 
 
@@ -23,10 +26,58 @@ from repro.streams import zipf_pair
 # CheckpointStore
 # ----------------------------------------------------------------------
 
+def _sealed(body: bytes) -> bytes:
+    """A checkpoint file around ``body``: header, digest, pickle."""
+    return MAGIC + hashlib.sha256(body).digest() + body
+
+
+def _resume_state(tick, **extra):
+    """A state carrying every key resuming reads (values are not checked)."""
+    state = {key: None for key in RESUME_KEYS}
+    state.update(tick=tick, **extra)
+    return state
+
+
+class _Raises:
+    """Unpickles by calling ``call(*args)``, which raises — the kinds of
+    error damaged or stale pickles raise."""
+
+    def __init__(self, call, *args):
+        self.call = call
+        self.args = args
+
+    def __reduce__(self):
+        return (self.call, self.args)
+
+
+RAISING_BODIES = [
+    _Raises(int, "x"),  # ValueError
+    _Raises(len, 5),  # TypeError
+    _Raises(getattr, object, "moved_away"),  # AttributeError
+    _Raises(str, b"\xff", "utf-8"),  # UnicodeDecodeError
+    _Raises(pow, 10.0, 400),  # OverflowError
+    _Raises(bytearray, 2**62),  # MemoryError
+]
+
+
+def _prob_checkpoint():
+    """A real PROB engine checkpoint with metrics, taken at tick 120."""
+    saved = {}
+
+    def on_tick(engine, t):
+        if t == 120:
+            saved["state"] = engine.checkpoint()
+
+    AsyncJoinEngine(
+        _config("PROB"), policy=_policies("PROB"), metrics=MetricsRegistry()
+    ).run(*BATCHES, on_tick=on_tick)
+    return saved["state"]
+
+
 class TestCheckpointStore:
     def test_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
-        state = {"tick": 12, "payload": [1, 2, 3]}
+        state = _resume_state(12, payload=[1, 2, 3])
         store.save("shard-0", state, fingerprint="fp")
         assert store.load("shard-0", fingerprint="fp") == state
 
@@ -50,14 +101,14 @@ class TestCheckpointStore:
             "fingerprint": "fp",
             "state": {"tick": 1},
         }
-        store.path_for("shard-0").write_bytes(pickle.dumps(payload))
+        store.path_for("shard-0").write_bytes(_sealed(pickle.dumps(payload)))
         assert store.load("shard-0", fingerprint="fp") is None
 
     def test_save_overwrites_atomically(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save("k", {"tick": 1}, fingerprint="fp")
-        store.save("k", {"tick": 2}, fingerprint="fp")
-        assert store.load("k", fingerprint="fp") == {"tick": 2}
+        store.save("k", _resume_state(1), fingerprint="fp")
+        store.save("k", _resume_state(2), fingerprint="fp")
+        assert store.load("k", fingerprint="fp") == _resume_state(2)
         # no stray temp files left behind
         assert list(tmp_path.iterdir()) == [store.path_for("k")]
 
@@ -67,6 +118,66 @@ class TestCheckpointStore:
         store.clear("k")
         store.clear("k")
         assert store.load("k", fingerprint="fp") is None
+
+    def test_foreign_state_is_none(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save("k", {"tick": 1, "payload": [1]}, fingerprint="fp")
+        assert store.load("k", fingerprint="fp") is None
+        for missing in RESUME_KEYS:
+            state = _resume_state(1)
+            del state[missing]
+            store.save("k", state, fingerprint="fp")
+            assert store.load("k", fingerprint="fp") is None, missing
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "fingerprint": "fp",
+            "state": list(RESUME_KEYS),
+        }
+        store.path_for("k").write_bytes(_sealed(pickle.dumps(payload)))
+        assert store.load("k", fingerprint="fp") is None
+
+    def test_corrupted_files_are_none(self, tmp_path):
+        """Seeded truncations, byte flips and overwrites anywhere in a
+        real checkpoint file (header, digest or pickle) read as
+        unusable — the digest stops them before the unpickler."""
+        store = CheckpointStore(tmp_path)
+        store.save("k", _prob_checkpoint(), fingerprint="fp")
+        assert store.load("k", fingerprint="fp") is not None
+        path = store.path_for("k")
+        good = path.read_bytes()
+        rng = random.Random(2024)
+        for trial in range(600):
+            data = bytearray(good)
+            if trial % 3 == 0:
+                del data[rng.randrange(len(data)):]
+            elif trial % 3 == 1:
+                for _ in range(rng.randint(1, 4)):
+                    index = rng.randrange(len(data))
+                    data[index] = (data[index] + rng.randrange(1, 256)) % 256
+            else:
+                start = rng.randrange(len(data) - 8)
+                old = bytes(data[start:start + 8])
+                new = old
+                while new == old:
+                    new = bytes(rng.randrange(256) for _ in range(8))
+                data[start:start + 8] = new
+            path.write_bytes(bytes(data))
+            assert store.load("k", fingerprint="fp") is None, trial
+
+    def test_intact_files_that_fail_to_unpickle_are_none(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        good = pickle.dumps(
+            {"schema_version": SCHEMA_VERSION, "fingerprint": "fp",
+             "state": _prob_checkpoint()},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        rng = random.Random(7)
+        bodies = [b"", b"not a pickle", good[: len(good) // 2]]
+        bodies += [pickle.dumps(body) for body in RAISING_BODIES]
+        bodies += [good[: rng.randrange(1, len(good))] for _ in range(40)]
+        for body in bodies:
+            store.path_for("k").write_bytes(_sealed(body))
+            assert store.load("k", fingerprint="fp") is None
 
     def test_keys_are_sanitised_to_filenames(self, tmp_path):
         store = CheckpointStore(tmp_path)

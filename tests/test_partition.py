@@ -26,9 +26,11 @@ from repro.core.partition import (
     shard_input_counts,
     shard_of,
     shard_seed,
+    shard_source,
     shard_weights,
 )
 from repro.streams import exact_join_size, zipf_pair
+from repro.streams.tuples import StreamPair
 
 
 class TestShardOf:
@@ -65,6 +67,41 @@ class TestShardBatches:
             assert len(r_owners) == 1 and len(s_owners) == 1
             assert list(views[r_owners[0]][0][t]) == [pair.r[t]]
             assert list(views[s_owners[0]][1][t]) == [pair.s[t]]
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
+    def test_every_split_agrees_with_shard_of(self, shards):
+        import numpy as np
+
+        keys = [
+            0, 7, -1, -13, True, False, 2**63, 2**70 + 3, -(2**65) - 1,
+            "7", "key", 7.0, -2.5, None, (1, "a"), np.int64(9),
+            np.int64(-4), np.uint64(2**64 - 1), np.int32(5), 12, 3,
+        ]
+        r = keys
+        s = keys[::-1]
+        pair = StreamPair(list(r), list(s))
+        owner = [shard_of(key, shards) for key in r]
+        owner_s = [shard_of(key, shards) for key in s]
+        weights = [0] * shards
+        for shard in owner + owner_s:
+            weights[shard] += 1
+        assert shard_weights(pair, shards) == weights
+        bursts = [(tuple(r[i:i + 3]), tuple(s[i:i + 2])) for i in range(len(r))]
+        for shard in range(shards):
+            r_view, s_view = shard_batches(pair, shard, shards)
+            assert [bool(batch) for batch in r_view] == [o == shard for o in owner]
+            assert [bool(batch) for batch in s_view] == [o == shard for o in owner_s]
+            assert shard_input_counts(pair, shard, shards) == (
+                owner.count(shard), owner_s.count(shard)
+            )
+            view = list(shard_source(bursts, shard, shards))
+            assert view == [
+                (
+                    tuple(k for k in rb if shard_of(k, shards) == shard),
+                    tuple(k for k in sb if shard_of(k, shards) == shard),
+                )
+                for rb, sb in bursts
+            ]
 
     def test_weights_cover_all_arrivals(self):
         pair = zipf_pair(150, 8, 1.0, seed=2)
